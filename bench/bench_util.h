@@ -13,7 +13,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -34,11 +33,6 @@ namespace catdb::bench {
 ///   --jobs=<n>           host threads for the parallel sweep harness
 ///                        (default: CATDB_JOBS env, else hardware
 ///                        concurrency; serial benches ignore it)
-///   --sim-threads=<n>    host threads simulating each single cell
-///                        (default: CATDB_SIM_THREADS env, else 1 = serial;
-///                        N >= 2 runs the epoch executor with N-1 recording
-///                        lanes). Rejected when 0 or when --jobs and
-///                        --sim-threads together oversubscribe the host.
 ///   --smoke              CI mode: run one cell of each sweep at a short
 ///                        horizon — exercises the full pipeline in seconds
 ///                        (results are not meaningful as measurements)
@@ -55,8 +49,7 @@ namespace catdb::bench {
 struct BenchOptions {
   std::string report_out;
   std::string trace_out;
-  unsigned jobs = 0;         // resolved to >= 1 by ParseBenchArgs
-  unsigned sim_threads = 1;  // resolved + validated by ParseBenchArgs
+  unsigned jobs = 0;  // resolved to >= 1 by ParseBenchArgs
   bool smoke = false;
   uint64_t selfperf_horizon = 0;   // 0 = the bench's default
   double min_batched_ratio = 0;    // 0 = no enforcement
@@ -105,45 +98,9 @@ inline bool ParsePositiveDouble(const char* s, double* out) {
   return true;
 }
 
-/// The host's core count as the parallelism validator sees it (hardware
-/// concurrency, minimum 1).
-inline unsigned HostCores() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
-/// Validates the resolved host-parallelism combination. Zero sim-threads is
-/// an error, never a silent clamp to 1; and a sweep fanning out `jobs`
-/// cells, each simulated by `sim_threads` host threads, must not
-/// oversubscribe the host — with both knobs above 1 the product has to fit
-/// `host_cores`, otherwise the "parallel speedup" the bench reports would be
-/// timeslicing noise. Exposed as a Status-returning helper so tests can
-/// exercise the rules without exiting the process.
-inline Status ValidateParallelism(unsigned jobs, unsigned sim_threads,
-                                  unsigned host_cores) {
-  if (sim_threads == 0) {
-    return Status::InvalidArgument(
-        "--sim-threads must be at least 1 (1 = serial simulation; N adds "
-        "N-1 recording lanes)");
-  }
-  if (jobs > 1 && sim_threads > 1 &&
-      static_cast<uint64_t>(jobs) * sim_threads > host_cores) {
-    return Status::InvalidArgument(
-        "--jobs=" + std::to_string(jobs) + " x --sim-threads=" +
-        std::to_string(sim_threads) + " = " +
-        std::to_string(static_cast<uint64_t>(jobs) * sim_threads) +
-        " host threads oversubscribes this host (" +
-        std::to_string(host_cores) +
-        " cores); lower one of them (e.g. --jobs=1 to parallelize inside "
-        "cells, or --sim-threads=1 to parallelize across cells)");
-  }
-  return Status::OK();
-}
-
 /// Parses the shared flags; exits with usage on anything unrecognized.
 inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions opts;
-  bool sim_threads_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const char* flag) -> const char* {
@@ -163,20 +120,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                      v);
         std::exit(2);
       }
-    } else if (const char* v = value_of("--sim-threads")) {
-      // "0" parses (so ValidateParallelism can reject it with its own
-      // message); anything else non-numeric is a usage error.
-      if (std::strcmp(v, "0") == 0) {
-        opts.sim_threads = 0;
-      } else if (!ParsePositiveUnsigned(v, &opts.sim_threads)) {
-        std::fprintf(
-            stderr,
-            "--sim-threads expects a non-negative integer in range, got: "
-            "%s\n",
-            v);
-        std::exit(2);
-      }
-      sim_threads_given = true;
     } else if (const char* v = value_of("--selfperf-horizon")) {
       if (!ParsePositiveU64(v, &opts.selfperf_horizon)) {
         std::fprintf(stderr,
@@ -201,45 +144,14 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown argument: %s\n"
                    "usage: %s [--report-out=<path>] [--trace-out=<path>] "
-                   "[--jobs=<n>] [--sim-threads=<n>] "
-                   "[--selfperf-horizon=<cycles>] "
+                   "[--jobs=<n>] [--selfperf-horizon=<cycles>] "
                    "[--min-batched-ratio=<x>] [--smoke] [positional...]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
   }
   if (opts.jobs == 0) opts.jobs = harness::ThreadPool::DefaultJobs();
-  if (!sim_threads_given) {
-    if (const char* env = std::getenv("CATDB_SIM_THREADS")) {
-      if (std::strcmp(env, "0") == 0) {
-        opts.sim_threads = 0;
-      } else if (!ParsePositiveUnsigned(env, &opts.sim_threads)) {
-        std::fprintf(stderr,
-                     "CATDB_SIM_THREADS expects a non-negative integer in "
-                     "range, got: %s\n",
-                     env);
-        std::exit(2);
-      }
-    }
-  }
-  const Status parallel_ok =
-      ValidateParallelism(opts.jobs, opts.sim_threads, HostCores());
-  if (!parallel_ok.ok()) {
-    std::fprintf(stderr, "%s\n", parallel_ok.ToString().c_str());
-    std::exit(2);
-  }
   return opts;
-}
-
-/// The machine configuration a bench main should build its machine from:
-/// defaults plus the parsed host-parallelism options (--sim-threads selects
-/// the epoch executor inside RunWorkload via sim::MakeExecutor). Reports and
-/// traces stay byte-identical for every sim-threads value — the option
-/// changes host threads, never simulated physics.
-inline sim::MachineConfig MachineConfigFor(const BenchOptions& opts) {
-  sim::MachineConfig cfg;
-  cfg.sim_threads = opts.sim_threads;
-  return cfg;
 }
 
 /// Turns on machine tracing when --trace-out was given (before any runs).

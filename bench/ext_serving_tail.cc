@@ -42,10 +42,6 @@ int main(int argc, char** argv) {
   exec.jobs = opts.jobs;
   exec.smoke = opts.smoke;
   exec.tracing = !opts.trace_out.empty();
-  // --sim-threads reaches each cell's machine config: cells simulate on
-  // sim_threads host threads apiece (ParseBenchArgs already rejected
-  // jobs x sim-threads combinations that oversubscribe the host).
-  exec.machine_config = bench::MachineConfigFor(opts);
 
   const plan::Scenario scenario = plan::ServingMixScenario();
   plan::ScenarioRunResult result;

@@ -14,7 +14,7 @@ using namespace catdb;
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
-  sim::Machine machine{bench::MachineConfigFor(opts)};
+  sim::Machine machine{sim::MachineConfig{}};
   bench::ApplyTraceOption(&machine, opts);
 
   auto acdoca = workloads::MakeAcdocaData(&machine, {});

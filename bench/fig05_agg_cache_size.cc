@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   exec.jobs = opts.jobs;
   exec.smoke = opts.smoke;
   exec.tracing = !opts.trace_out.empty();
-  exec.machine_config = bench::MachineConfigFor(opts);
 
   plan::ScenarioRunResult result;
   const Status st =

@@ -15,7 +15,7 @@ using namespace catdb;
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
-  sim::Machine machine{bench::MachineConfigFor(opts)};
+  sim::Machine machine{sim::MachineConfig{}};
   bench::ApplyTraceOption(&machine, opts);
 
   auto tpch = workloads::MakeTpchData(&machine, workloads::TpchConfig{});

@@ -38,7 +38,7 @@ void RunCase(sim::Machine* machine, const workloads::AcdocaData& acdoca,
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
-  sim::Machine machine{bench::MachineConfigFor(opts)};
+  sim::Machine machine{sim::MachineConfig{}};
   bench::ApplyTraceOption(&machine, opts);
   obs::RunReportWriter report("fig12_oltp_olap");
 

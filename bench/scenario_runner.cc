@@ -11,7 +11,7 @@
 //                                         in as exactly this output)
 //   scenario_runner --fuzz                differential plan fuzzing: execute
 //                                         --plans=<n> seeded random plans
-//                                         (--fuzz-seed=<s>) under all five
+//                                         (--fuzz-seed=<s>) under all three
 //                                         executor regimes and fail if any
 //                                         report digest diverges
 //
@@ -112,7 +112,6 @@ int RunScenarioFile(const plan::Scenario& scenario,
   exec.jobs = opts.jobs;
   exec.smoke = opts.smoke;
   exec.tracing = !opts.trace_out.empty();
-  exec.machine_config = bench::MachineConfigFor(opts);
 
   plan::ScenarioRunResult result;
   const Status st = plan::RunScenario(scenario, exec, &result);

@@ -1,20 +1,19 @@
 // Simulator self-benchmark: measures *host* wall-clock throughput of the
 // discrete-event simulator (simulated cycles per second, simulated memory
 // accesses per second) over the fig01 (OLTP vs. OLAP scan) and fig11
-// (TPC-H Q1 vs. scan) workload shapes. Four legs per workload:
+// (TPC-H Q1 vs. scan) workload shapes. Three legs per workload:
 //   1. batched      — event-driven executor + run-granular AccessRun fast
 //                     path (MachineConfig::batched_runs, the default)
 //   2. scalar       — same executor with batched_runs off: every run
-//                     decomposes into per-line Access calls (the previous
-//                     fast path; isolates the batching speedup)
-//   3. simd_off     — batched config with way_scan demoted to the scalar
-//                     probes (HierarchyConfig::simd = false, the
-//                     CATDB_NO_SIMD semantics); isolates the vectorized
-//                     way-search contribution within one binary
-//   4. reference    — the pre-change baseline kept verbatim: legacy
-//                     O(cores)-per-step scan executor + reference-impl
-//                     hierarchy (HierarchyConfig::reference_impl)
-// All four must produce bit-identical simulated results before a speedup
+//                     decomposes into per-line Access calls (isolates the
+//                     batching speedup)
+//   3. simd_off     — batched config with HierarchyConfig::simd = false
+//                     (the CATDB_NO_SIMD semantics). This is not the same
+//                     machine code with the kernels switched off: the
+//                     caches then take the fused one-pass scalar scan
+//                     instead of the two-pass FindWayOrEmpty + MinStampWay
+//                     dispatch.
+// All three must produce bit-identical simulated results before a speedup
 // is reported. Emits BENCH_selfperf.json (path overridable via the first
 // positional argument) so the repository keeps a perf trajectory across
 // PRs.
@@ -60,7 +59,6 @@
 #include "engine/operators/column_scan.h"
 #include "engine/operators/index_project.h"
 #include "engine/runner.h"
-#include "sim/epoch_executor.h"
 #include "sim/executor.h"
 #include "workloads/micro.h"
 #include "workloads/s4hana.h"
@@ -70,76 +68,8 @@
 namespace catdb {
 namespace {
 
-/// The pre-change executor, kept verbatim as the measurement baseline: every
-/// scheduling step rescans all cores (and replenishes idle ones eagerly).
-/// Lives only in this benchmark; the production executor is event-driven.
-/// The baseline measurement pairs it with a reference-impl hierarchy
-/// (HierarchyConfig::reference_impl), so the baseline leg is the whole
-/// pre-change simulator, not just the pre-change scheduler.
-class ScanExecutor {
- public:
-  explicit ScanExecutor(sim::Machine* machine) : machine_(machine) {
-    cores_.resize(machine_->num_cores());
-  }
-
-  void Attach(uint32_t core, sim::TaskSource* source) {
-    cores_[core].source = source;
-  }
-
-  void RunUntil(uint64_t horizon) {
-    for (;;) {
-      int best = -1;
-      uint64_t best_clock = horizon;
-      for (uint32_t c = 0; c < cores_.size(); ++c) {
-        if (!Replenish(c)) continue;
-        const uint64_t clock = machine_->clock(c);
-        if (clock < best_clock) {
-          best_clock = clock;
-          best = static_cast<int>(c);
-        }
-      }
-      if (best < 0) return;
-
-      const uint32_t core = static_cast<uint32_t>(best);
-      CoreState& cs = cores_[core];
-      sim::ExecContext ctx(machine_, core);
-      const bool more = cs.current->Step(ctx);
-      cs.current->CreditWork(ctx.TakeWorkDelta());
-      if (!more) {
-        sim::Task* done = cs.current;
-        cs.current = nullptr;
-        cs.source->TaskFinished(done, core, machine_->clock(core));
-      }
-    }
-  }
-
- private:
-  struct CoreState {
-    sim::TaskSource* source = nullptr;
-    sim::Task* current = nullptr;
-  };
-
-  bool Replenish(uint32_t core) {
-    CoreState& cs = cores_[core];
-    if (cs.current != nullptr) return true;
-    if (cs.source == nullptr) return false;
-    sim::Task* task = cs.source->NextTask(core);
-    if (task == nullptr) return false;
-    machine_->AdvanceClockTo(core, task->ready_time());
-    cs.source->TaskDispatched(task, core);
-    cs.current = task;
-    return true;
-  }
-
-  sim::Machine* machine_;
-  std::vector<CoreState> cores_;
-};
-
-/// Simulated results that must match between the two configurations — the
-/// self-benchmark refuses to report a speedup over a run that computed
-/// different physics. Scheduler counters are deliberately excluded: the
-/// event-driven executor intentionally skips dispatch charges for tasks
-/// that never run before the horizon.
+/// Simulated results that must match between the legs — the self-benchmark
+/// refuses to report a speedup over a run that computed different physics.
 struct SimDigest {
   std::vector<double> iterations;
   uint64_t l1_lookups = 0;
@@ -158,7 +88,7 @@ struct Measurement {
 /// One fully built measurement setup: machine, datasets, queries, stream
 /// specs. Queries carry mutable RNG state (fresh predicate parameters per
 /// iteration), so every measured run gets its own identically-seeded rig —
-/// the only way two executors can be compared on bit-identical inputs.
+/// the only way two legs can be compared on bit-identical inputs.
 struct Rig {
   std::unique_ptr<sim::Machine> machine;
   std::unique_ptr<workloads::AcdocaData> acdoca;
@@ -172,18 +102,14 @@ struct Rig {
 
 /// The simulator configuration of one measurement leg.
 struct RigCfg {
-  bool reference_impl = false;
   bool batched_runs = true;
-  uint32_t sim_threads = 1;  // >= 2 selects the epoch executor
-  bool simd = true;          // false = scalar way_scan probes (oracle leg)
+  bool simd = true;  // false = scalar way_scan probes
 };
 
 std::unique_ptr<sim::Machine> MakeMachine(const RigCfg& leg) {
   sim::MachineConfig cfg;
-  cfg.hierarchy.reference_impl = leg.reference_impl;
   cfg.hierarchy.simd = leg.simd;
   cfg.batched_runs = leg.batched_runs;
-  cfg.sim_threads = leg.sim_threads;
   return std::make_unique<sim::Machine>(cfg);
 }
 
@@ -231,9 +157,7 @@ Rig MakeFig11Rig(const RigCfg& leg) {
   return rig;
 }
 
-/// RunWorkload mirrored for an arbitrary executor type (the production
-/// runner is hard-wired to sim::Executor on purpose).
-template <typename ExecutorT>
+/// RunWorkload mirrored so only the executor loop is timed.
 Measurement RunWith(sim::Machine* machine,
                     const std::vector<engine::StreamSpec>& specs,
                     uint64_t horizon, bool timed) {
@@ -242,7 +166,7 @@ Measurement RunWith(sim::Machine* machine,
   engine::JobScheduler scheduler(machine, engine::PolicyConfig{});
   CATDB_CHECK(scheduler.SetupGroups().ok());
 
-  ExecutorT executor(machine);
+  sim::Executor executor(machine);
   std::vector<std::unique_ptr<engine::QueryStream>> streams;
   for (const engine::StreamSpec& spec : specs) {
     streams.push_back(std::make_unique<engine::QueryStream>(
@@ -277,22 +201,19 @@ Measurement RunWith(sim::Machine* machine,
 // the run least disturbed by the host and converges on the true cost; five
 // repetitions (up from three) give each leg more draws against hosts whose
 // CPU budget arrives in bursts shorter than a whole repetition round. The
-// legs are interleaved round-robin (fast, scalar, SIMD-off, reference,
-// repeat) so a multi-second slow window degrades one repetition of every
-// leg instead of every repetition of one leg.
+// legs are interleaved round-robin (fast, scalar, SIMD-off, repeat) so a
+// multi-second slow window degrades one repetition of every leg instead of
+// every repetition of one leg.
 constexpr int kTimedReps = 5;
 
-template <typename ExecutorT>
 Measurement MeasureOnce(Rig (*make_rig)(const RigCfg&), const RigCfg& leg,
                         uint64_t horizon) {
   // Fresh rig per repetition: every measurement starts from bit-identical
   // machine layout and query RNG state. One short warm-up pass (page
   // tables, allocator pools, branch predictors), then the timed pass.
   Rig rig = make_rig(leg);
-  RunWith<ExecutorT>(rig.machine.get(), rig.specs, horizon / 8,
-                     /*timed=*/false);
-  return RunWith<ExecutorT>(rig.machine.get(), rig.specs, horizon,
-                            /*timed=*/true);
+  RunWith(rig.machine.get(), rig.specs, horizon / 8, /*timed=*/false);
+  return RunWith(rig.machine.get(), rig.specs, horizon, /*timed=*/true);
 }
 
 void KeepBest(Measurement* best, Measurement m, int rep) {
@@ -304,8 +225,7 @@ struct WorkloadResult {
   uint64_t horizon = 0;
   Measurement fast;      // batched AccessRun fast path (the default config)
   Measurement scalar;    // batched_runs off: per-line Access decomposition
-  Measurement simd_off;  // fast config with way_scan demoted to scalar
-  Measurement scan;      // pre-change reference baseline
+  Measurement simd_off;  // fast config with HierarchyConfig::simd off
   // Host-cycle attribution from a separate profiled pass of the fast leg
   // (never from the timed pass — profiling adds timer reads).
   simcache::HostCycleBreakdown breakdown;
@@ -338,29 +258,15 @@ WorkloadResult MeasureWorkload(const std::string& name,
   w.horizon = horizon;
   for (int rep = 0; rep < kTimedReps; ++rep) {
     KeepBest(&w.fast,
-             MeasureOnce<sim::Executor>(
-                 make_rig,
-                 RigCfg{/*reference_impl=*/false, /*batched_runs=*/true},
-                 horizon),
+             MeasureOnce(make_rig, RigCfg{/*batched_runs=*/true}, horizon),
              rep);
     KeepBest(&w.scalar,
-             MeasureOnce<sim::Executor>(
-                 make_rig,
-                 RigCfg{/*reference_impl=*/false, /*batched_runs=*/false},
-                 horizon),
+             MeasureOnce(make_rig, RigCfg{/*batched_runs=*/false}, horizon),
              rep);
     KeepBest(&w.simd_off,
-             MeasureOnce<sim::Executor>(
-                 make_rig,
-                 RigCfg{/*reference_impl=*/false, /*batched_runs=*/true,
-                        /*sim_threads=*/1, /*simd=*/false},
-                 horizon),
-             rep);
-    KeepBest(&w.scan,
-             MeasureOnce<ScanExecutor>(
-                 make_rig,
-                 RigCfg{/*reference_impl=*/true, /*batched_runs=*/false},
-                 horizon),
+             MeasureOnce(make_rig,
+                         RigCfg{/*batched_runs=*/true, /*simd=*/false},
+                         horizon),
              rep);
   }
   if (!(w.fast.digest == w.scalar.digest)) {
@@ -371,13 +277,8 @@ WorkloadResult MeasureWorkload(const std::string& name,
     ReportDigestMismatch(name, "batched vs simd-off", w.fast.digest,
                          w.simd_off.digest);
   }
-  if (!(w.fast.digest == w.scan.digest)) {
-    ReportDigestMismatch(name, "batched vs reference", w.fast.digest,
-                         w.scan.digest);
-  }
   CATDB_CHECK(w.fast.digest == w.scalar.digest);
   CATDB_CHECK(w.fast.digest == w.simd_off.digest);
-  CATDB_CHECK(w.fast.digest == w.scan.digest);
   return w;
 }
 
@@ -389,11 +290,9 @@ WorkloadResult MeasureWorkload(const std::string& name,
 // next workload's repetitions need.
 void ProfileWorkload(WorkloadResult* w, Rig (*make_rig)(const RigCfg&),
                      uint64_t horizon) {
-  Rig rig = make_rig(RigCfg{/*reference_impl=*/false,
-                            /*batched_runs=*/true});
+  Rig rig = make_rig(RigCfg{});
   rig.machine->hierarchy().AttachHostProfiler(&w->breakdown);
-  RunWith<sim::Executor>(rig.machine.get(), rig.specs, horizon / 4,
-                         /*timed=*/false);
+  RunWith(rig.machine.get(), rig.specs, horizon / 4, /*timed=*/false);
 }
 
 void PrintBreakdown(const WorkloadResult& w) {
@@ -421,12 +320,11 @@ void PrintRow(const WorkloadResult& w) {
       static_cast<double>(w.horizon) / w.scalar.wall_seconds;
   const double cyc_nosimd =
       static_cast<double>(w.horizon) / w.simd_off.wall_seconds;
-  const double cyc_scan = static_cast<double>(w.horizon) / w.scan.wall_seconds;
   const double acc_fast =
       static_cast<double>(w.fast.digest.l1_lookups) / w.fast.wall_seconds;
-  std::printf("%-16s %12.1f %14.2f %11.2fx %11.2fx %11.2fx\n", w.name.c_str(),
+  std::printf("%-16s %12.1f %14.2f %11.2fx %11.2fx\n", w.name.c_str(),
               cyc_fast / 1e6, acc_fast / 1e6, cyc_fast / cyc_sclr,
-              cyc_fast / cyc_nosimd, cyc_fast / cyc_scan);
+              cyc_fast / cyc_nosimd);
 }
 
 std::string JsonEntry(const WorkloadResult& w) {
@@ -435,7 +333,6 @@ std::string JsonEntry(const WorkloadResult& w) {
       static_cast<double>(w.horizon) / w.scalar.wall_seconds;
   const double cyc_nosimd =
       static_cast<double>(w.horizon) / w.simd_off.wall_seconds;
-  const double cyc_scan = static_cast<double>(w.horizon) / w.scan.wall_seconds;
   const double acc_fast =
       static_cast<double>(w.fast.digest.l1_lookups) / w.fast.wall_seconds;
   const double acc_sclr =
@@ -454,18 +351,14 @@ std::string JsonEntry(const WorkloadResult& w) {
       "\"sim_cycles_per_second\": %.0f, \"accesses_per_second\": %.0f},\n"
       "     \"simd_off_way_scan\": {\"wall_seconds\": %.4f, "
       "\"sim_cycles_per_second\": %.0f, \"accesses_per_second\": %.0f},\n"
-      "     \"prechange_scan_executor\": {\"wall_seconds\": %.4f, "
-      "\"sim_cycles_per_second\": %.0f},\n"
       "     \"speedup_vs_scalar_access_path\": %.3f,\n"
       "     \"speedup_vs_simd_off\": %.3f,\n"
-      "     \"speedup_vs_prechange_scan_executor\": %.3f,\n"
       "     \"host_cycle_breakdown\": {",
       w.name.c_str(), static_cast<unsigned long long>(w.horizon),
       w.fast.wall_seconds, cyc_fast,
       static_cast<unsigned long long>(w.fast.digest.l1_lookups), acc_fast,
       w.scalar.wall_seconds, cyc_sclr, acc_sclr, w.simd_off.wall_seconds,
-      cyc_nosimd, acc_nosimd, w.scan.wall_seconds, cyc_scan,
-      cyc_fast / cyc_sclr, cyc_fast / cyc_nosimd, cyc_fast / cyc_scan);
+      cyc_nosimd, acc_nosimd, cyc_fast / cyc_sclr, cyc_fast / cyc_nosimd);
   std::string json = buf;
   bool first = true;
   for (const auto& [comp, cycles] : w.breakdown.Components()) {
@@ -548,11 +441,11 @@ struct HarnessRun {
   double wall_seconds = 0;
 };
 
-/// Outcome of one scaling sweep (harness --jobs or executor --sim-threads):
-/// the measured points, the points skipped as oversubscribed, and whether
-/// the sweep produced enough points to support a scaling claim at all. A
-/// 1-core container skips every multi-thread point, and the JSON must say
-/// "inconclusive" instead of implying the measured 1.0x was a ceiling.
+/// Outcome of the --jobs scaling sweep: the measured points, the points
+/// skipped as oversubscribed, and whether the sweep produced enough points
+/// to support a scaling claim at all. A 1-core container skips every
+/// multi-thread point, and the JSON must say "inconclusive" instead of
+/// implying the measured 1.0x was a ceiling.
 struct HarnessScaling {
   size_t cells = 0;
   std::vector<HarnessRun> runs;
@@ -560,9 +453,9 @@ struct HarnessScaling {
   bool conclusive() const { return runs.size() >= 2; }
 };
 
-/// Thread counts every host-parallelism sweep visits: 1/2/4 plus the host's
-/// own core count. Points above the core count are skipped by the callers
-/// (oversubscribed wall-clock measures timeslicing, not scaling).
+/// Job counts the scaling sweep visits: 1/2/4 plus the host's own core
+/// count. Points above the core count are skipped (oversubscribed
+/// wall-clock measures timeslicing, not scaling).
 std::vector<unsigned> SweepThreadCounts(unsigned host_cores) {
   std::vector<unsigned> counts = {1, 2, 4};
   if (host_cores > 0 &&
@@ -607,7 +500,7 @@ HarnessScaling RunParallelHarness(unsigned host_cores, bool smoke) {
     const bool identical = ref_json.empty() || json == ref_json;
     if (ref_json.empty()) ref_json = json;
     // A speedup only counts over bit-identical output — same contract as
-    // the executor self-benchmark above.
+    // the leg comparison above.
     CATDB_CHECK(identical);
     HarnessRun run;
     run.jobs = jobs;
@@ -622,155 +515,20 @@ HarnessScaling RunParallelHarness(unsigned host_cores, bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-cell scaling: the epoch executor at several --sim-threads values.
-
-struct SimThreadsRun {
-  unsigned sim_threads = 0;
-  double wall_seconds = 0;
-};
-
-struct SimThreadsWorkload {
-  std::string name;
-  uint64_t horizon = 0;
-  std::vector<SimThreadsRun> runs;  // runs.front() is the serial oracle
-  std::vector<unsigned> skipped;    // oversubscribed thread counts
-};
-
-/// Sweeps one workload across sim-thread counts. Every parallel point must
-/// reproduce the serial leg's digest bit-for-bit before its wall clock
-/// counts — the epoch executor's whole claim is "same simulation, less
-/// wall time", so a digest divergence aborts the benchmark rather than
-/// reporting a speedup over different physics.
-SimThreadsWorkload MeasureSimThreads(const std::string& name,
-                                     Rig (*make_rig)(const RigCfg&),
-                                     uint64_t horizon,
-                                     const std::vector<unsigned>& counts,
-                                     unsigned host_cores) {
-  SimThreadsWorkload w;
-  w.name = name;
-  w.horizon = horizon;
-  std::vector<unsigned> measured;
-  for (const unsigned t : counts) {
-    // sim-threads = total host threads simulating the cell; above the core
-    // count the lanes timeslice and the measurement is noise.
-    if (t > 1 && host_cores > 0 && t > host_cores) {
-      w.skipped.push_back(t);
-      continue;
-    }
-    measured.push_back(t);
-  }
-  std::vector<Measurement> best(measured.size());
-  SimDigest serial_digest;
-  for (int rep = 0; rep < kTimedReps; ++rep) {
-    for (size_t i = 0; i < measured.size(); ++i) {
-      const unsigned t = measured[i];
-      const RigCfg leg{/*reference_impl=*/false, /*batched_runs=*/true,
-                       /*sim_threads=*/t};
-      const Measurement m =
-          t == 1 ? MeasureOnce<sim::Executor>(make_rig, leg, horizon)
-                 : MeasureOnce<sim::EpochExecutor>(make_rig, leg, horizon);
-      if (rep == 0 && i == 0) serial_digest = m.digest;
-      if (!(m.digest == serial_digest)) {
-        const std::string legs =
-            "sim-threads " + std::to_string(t) + " vs serial";
-        ReportDigestMismatch(name, legs.c_str(), serial_digest, m.digest);
-      }
-      CATDB_CHECK(m.digest == serial_digest);
-      KeepBest(&best[i], m, rep);
-    }
-  }
-  for (size_t i = 0; i < measured.size(); ++i) {
-    w.runs.push_back(SimThreadsRun{measured[i], best[i].wall_seconds});
-  }
-  // Skipped counts still get one untimed differential pass: oversubscribing
-  // the host invalidates the wall clock, not the simulation, and the digest
-  // gate must hold on every host — CI containers are often 1-core, and
-  // "sim-threads diverged from the serial digest" has to fail there too.
-  for (const unsigned t : w.skipped) {
-    // MeasureOnce (not a bare run): the digest is only comparable when the
-    // rig went through the same warm-up pass as the measured legs — the
-    // warm-up advances the queries' RNG state.
-    const Measurement m = MeasureOnce<sim::EpochExecutor>(
-        make_rig,
-        RigCfg{/*reference_impl=*/false, /*batched_runs=*/true,
-               /*sim_threads=*/t},
-        horizon);
-    if (!(m.digest == serial_digest)) {
-      const std::string legs =
-          "sim-threads " + std::to_string(t) + " (oversubscribed) vs serial";
-      ReportDigestMismatch(name, legs.c_str(), serial_digest, m.digest);
-    }
-    CATDB_CHECK(m.digest == serial_digest);
-  }
-  return w;
-}
-
-struct SimThreadsScaling {
-  std::vector<SimThreadsWorkload> workloads;
-  bool conclusive() const {
-    for (const SimThreadsWorkload& w : workloads) {
-      if (w.runs.size() < 2) return false;
-    }
-    return !workloads.empty();
-  }
-};
-
-SimThreadsScaling RunSimThreadsSweep(unsigned host_cores, uint64_t horizon) {
-  const std::vector<unsigned> counts = SweepThreadCounts(host_cores);
-  SimThreadsScaling out;
-  std::printf(
-      "\nIntra-cell parallel simulation (epoch executor, %u host cores)\n",
-      host_cores);
-  bench::PrintRule(64);
-  std::printf("%-16s %12s %10s %9s %11s\n", "workload", "sim-threads",
-              "wall s", "speedup", "eff/thread");
-  bench::PrintRule(64);
-  out.workloads.push_back(MeasureSimThreads("fig01_oltp_olap", MakeFig01Rig,
-                                            horizon, counts, host_cores));
-  out.workloads.push_back(MeasureSimThreads("fig11_tpch_q1", MakeFig11Rig,
-                                            horizon, counts, host_cores));
-  for (const SimThreadsWorkload& w : out.workloads) {
-    for (const SimThreadsRun& r : w.runs) {
-      const double speedup = w.runs.front().wall_seconds / r.wall_seconds;
-      std::printf("%-16s %12u %10.3f %8.2fx %10.1f%%\n", w.name.c_str(),
-                  r.sim_threads, r.wall_seconds, speedup,
-                  100.0 * speedup / r.sim_threads);
-    }
-    for (const unsigned t : w.skipped) {
-      // Untimed differential pass only: digest verified, wall clock not
-      // reported (oversubscribed timing is timeslicing noise).
-      std::printf("%-16s %12u %10s %9s %11s\n", w.name.c_str(), t,
-                  "digest-ok", "skipped", "(oversub.)");
-    }
-  }
-  bench::PrintRule(64);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_parallel.json: both scaling sections plus the verdict consumers
-// need first — how many cores the numbers come from and whether they are
+// BENCH_parallel.json: the scaling section plus the verdict consumers need
+// first — how many cores the numbers come from and whether they are
 // conclusive at all.
 
-void AppendSkipped(std::string* json, const std::vector<unsigned>& skipped) {
-  char buf[32];
-  for (size_t i = 0; i < skipped.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s%u", i > 0 ? ", " : "", skipped[i]);
-    *json += buf;
-  }
-}
-
 void WriteParallelJson(const char* out_path, unsigned host_cores,
-                       const HarnessScaling& h, const SimThreadsScaling& s) {
-  const bool conclusive = h.conclusive() && s.conclusive();
+                       const HarnessScaling& h) {
   std::string json = "{\n  \"benchmark\": \"parallel_selfperf\",\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "  \"host_cores\": %u,\n  \"conclusive\": %s,\n",
-                host_cores, conclusive ? "true" : "false");
+                host_cores, h.conclusive() ? "true" : "false");
   json += buf;
 
-  // Section 1: sweep-cell fan-out (--jobs, PR-3 harness).
+  // Sweep-cell fan-out (--jobs).
   std::snprintf(buf, sizeof(buf),
                 "  \"sweep_harness\": {\n"
                 "    \"conclusive\": %s,\n    \"cells\": %zu,\n"
@@ -778,7 +536,10 @@ void WriteParallelJson(const char* out_path, unsigned host_cores,
                 "    \"skipped_oversubscribed\": [",
                 h.conclusive() ? "true" : "false", h.cells);
   json += buf;
-  AppendSkipped(&json, h.skipped);
+  for (size_t i = 0; i < h.skipped.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s%u", i > 0 ? ", " : "", h.skipped[i]);
+    json += buf;
+  }
   json += "],\n    \"runs\": [\n";
   for (size_t i = 0; i < h.runs.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
@@ -788,39 +549,6 @@ void WriteParallelJson(const char* out_path, unsigned host_cores,
                   h.runs.front().wall_seconds / h.runs[i].wall_seconds,
                   i + 1 < h.runs.size() ? "," : "");
     json += buf;
-  }
-  json += "    ]\n  },\n";
-
-  // Section 2: intra-cell epoch executor (--sim-threads).
-  std::snprintf(buf, sizeof(buf),
-                "  \"sim_threads\": {\n    \"conclusive\": %s,\n"
-                "    \"digests_byte_identical\": true,\n"
-                "    \"workloads\": [\n",
-                s.conclusive() ? "true" : "false");
-  json += buf;
-  for (size_t wi = 0; wi < s.workloads.size(); ++wi) {
-    const SimThreadsWorkload& w = s.workloads[wi];
-    std::snprintf(buf, sizeof(buf),
-                  "      {\"name\": \"%s\", \"horizon_cycles\": %llu,\n"
-                  "       \"skipped_oversubscribed\": [",
-                  w.name.c_str(), static_cast<unsigned long long>(w.horizon));
-    json += buf;
-    AppendSkipped(&json, w.skipped);
-    json += "],\n       \"runs\": [\n";
-    for (size_t i = 0; i < w.runs.size(); ++i) {
-      const double speedup = w.runs.front().wall_seconds /
-                             w.runs[i].wall_seconds;
-      std::snprintf(buf, sizeof(buf),
-                    "        {\"sim_threads\": %u, \"wall_seconds\": %.4f, "
-                    "\"speedup_vs_serial\": %.3f, "
-                    "\"per_thread_efficiency\": %.3f}%s\n",
-                    w.runs[i].sim_threads, w.runs[i].wall_seconds, speedup,
-                    speedup / w.runs[i].sim_threads,
-                    i + 1 < w.runs.size() ? "," : "");
-      json += buf;
-    }
-    json += "       ]}";
-    json += wi + 1 < s.workloads.size() ? ",\n" : "\n";
   }
   json += "    ]\n  }\n}\n";
 
@@ -847,10 +575,10 @@ int main(int argc, char** argv) {
           : (opts.smoke ? bench::kSmokeHorizon : bench::kDefaultHorizon / 2);
 
   std::printf("Simulator self-benchmark (host wall-clock)\n");
-  bench::PrintRule(84);
-  std::printf("%-16s %12s %14s %12s %11s %11s\n", "workload", "Mcycles/s",
-              "Maccesses/s", "vs scalar", "vs nosimd", "vs refimpl");
-  bench::PrintRule(84);
+  bench::PrintRule(72);
+  std::printf("%-16s %12s %14s %12s %11s\n", "workload", "Mcycles/s",
+              "Maccesses/s", "vs scalar", "vs nosimd");
+  bench::PrintRule(72);
 
   std::vector<WorkloadResult> results;
 
@@ -860,7 +588,7 @@ int main(int argc, char** argv) {
   results.push_back(MeasureWorkload("fig11_tpch_q1", MakeFig11Rig, horizon));
   PrintRow(results.back());
 
-  bench::PrintRule(84);
+  bench::PrintRule(72);
 
   ProfileWorkload(&results[0], MakeFig01Rig, horizon);
   ProfileWorkload(&results[1], MakeFig11Rig, horizon);
@@ -898,8 +626,6 @@ int main(int argc, char** argv) {
                        w.scalar.wall_seconds / w.fast.wall_seconds);
       report.AddScalar(w.name + "/speedup_vs_simd_off",
                        w.simd_off.wall_seconds / w.fast.wall_seconds);
-      report.AddScalar(w.name + "/speedup_vs_prechange_scan_executor",
-                       w.scan.wall_seconds / w.fast.wall_seconds);
       report.AddScalar(w.name + "/scalar_accesses_per_second", acc_sclr);
       report.AddScalar(w.name + "/simd_off_accesses_per_second", acc_nosimd);
       for (const auto& [comp, cycles] : w.breakdown.Components()) {
@@ -915,16 +641,12 @@ int main(int argc, char** argv) {
     std::printf("report: %s\n", opts.report_out.c_str());
   }
 
-  // Host-parallelism scaling, both axes: sweep-cell fan-out (--jobs) and
-  // intra-cell epoch execution (--sim-threads). Both gate on bit-identical
-  // output before reporting any speedup.
+  // Host-parallelism scaling: sweep-cell fan-out (--jobs), gated on
+  // bit-identical output before any speedup is reported.
   const unsigned host_cores = std::thread::hardware_concurrency();
-  const SimThreadsScaling sim_scaling =
-      RunSimThreadsSweep(host_cores, horizon);
   const HarnessScaling harness_scaling =
       RunParallelHarness(host_cores, opts.smoke);
-  WriteParallelJson(parallel_out_path.c_str(), host_cores, harness_scaling,
-                    sim_scaling);
+  WriteParallelJson(parallel_out_path.c_str(), host_cores, harness_scaling);
 
   // Regression gate (--min-batched-ratio): the batched fast path must
   // deliver at least the given multiple of the scalar path's accesses/sec.

@@ -5,7 +5,7 @@
 
 #include "common/check.h"
 #include "engine/runner.h"
-#include "sim/epoch_executor.h"
+#include "sim/executor.h"
 
 namespace catdb::engine {
 
@@ -109,16 +109,16 @@ RoundsReport ExecuteRoundsReport(sim::Machine* machine,
     machine->resctrl().Reset();
     JobScheduler scheduler(machine, policy);
     CATDB_CHECK(scheduler.SetupGroups().ok());
-    const std::unique_ptr<sim::Executor> executor = sim::MakeExecutor(machine);
+    sim::Executor executor(machine);
     std::vector<std::unique_ptr<QueryStream>> streams;
     for (const StreamSpec& spec : specs) {
       streams.push_back(std::make_unique<QueryStream>(
           spec.query, spec.cores, &scheduler, spec.max_iterations));
       for (uint32_t core : spec.cores) {
-        executor->Attach(core, streams.back().get());
+        executor.Attach(core, streams.back().get());
       }
     }
-    const uint64_t duration = executor->RunUntilIdle();
+    const uint64_t duration = executor.RunUntilIdle();
     out.makespan_cycles += duration;
     out.round_cycles.push_back(duration);
     out.round_reports.push_back(

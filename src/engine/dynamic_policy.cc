@@ -8,7 +8,7 @@
 #include "common/units.h"
 #include "engine/job_scheduler.h"
 #include "obs/trace.h"
-#include "sim/epoch_executor.h"
+#include "sim/executor.h"
 #include "simcache/cache_geometry.h"
 
 namespace catdb::engine {
@@ -142,14 +142,14 @@ DynamicRunReport RunWorkloadDynamic(sim::Machine* machine,
     result.group_names.push_back(group);
   }
 
-  const std::unique_ptr<sim::Executor> executor = sim::MakeExecutor(machine);
+  sim::Executor executor(machine);
   std::vector<std::unique_ptr<QueryStream>> streams;
   for (const StreamSpec& spec : specs) {
     CATDB_CHECK(spec.query != nullptr);
     streams.push_back(std::make_unique<QueryStream>(
         spec.query, spec.cores, &scheduler, spec.max_iterations));
     for (uint32_t core : spec.cores) {
-      executor->Attach(core, streams.back().get());
+      executor.Attach(core, streams.back().get());
     }
   }
 
@@ -159,7 +159,7 @@ DynamicRunReport RunWorkloadDynamic(sim::Machine* machine,
 
   for (uint64_t t = config.interval_cycles;; t += config.interval_cycles) {
     const uint64_t stop = t < horizon_cycles ? t : horizon_cycles;
-    executor->RunUntil(stop);
+    executor.RunUntil(stop);
     result.intervals += 1;
 
     // One snapshot per interval; the final interval may be shorter than

@@ -47,9 +47,9 @@ class Job : public sim::Task {
 
  protected:
   /// Reports `units` of completed work (typically rows) for fractional
-  /// iteration accounting. Routed through the context so the executor can
-  /// defer the credit until the Step is applied to the machine (replay time
-  /// under the epoch executor); read it back via sim::Task::work_done().
+  /// iteration accounting. Routed through the context so the executor
+  /// credits it once the Step returns; read it back via
+  /// sim::Task::work_done().
   void AddWork(sim::ExecContext& ctx, uint64_t units) { ctx.AddWork(units); }
 
   /// Touches `n` lines of the executing worker's hot scratch region (stack

@@ -1,7 +1,6 @@
 #include "engine/operators/column_scan.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/check.h"
 #include "simcache/cache_geometry.h"
@@ -58,14 +57,7 @@ bool ColumnScanJob::Step(sim::ExecContext& ctx) {
   AddWork(ctx, chunk_end - cursor_);
   cursor_ = chunk_end;
   if (cursor_ >= range_.end) {
-    if (result_sink_ != nullptr) {
-      // Atomic add: sibling jobs of the same query may fold their partial
-      // counts concurrently when recorded on parallel simulation lanes.
-      // Addition commutes, and the sink is read only behind the next phase
-      // barrier, so the total is schedule-independent.
-      std::atomic_ref<uint64_t>(*result_sink_)
-          .fetch_add(matches_, std::memory_order_relaxed);
-    }
+    if (result_sink_ != nullptr) *result_sink_ += matches_;
     return false;
   }
   return true;

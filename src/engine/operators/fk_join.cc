@@ -1,7 +1,6 @@
 #include "engine/operators/fk_join.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/check.h"
 #include "simcache/cache_geometry.h"
@@ -79,12 +78,7 @@ bool FkJoinProbeJob::Step(sim::ExecContext& ctx) {
   AddWork(ctx, chunk_end - cursor_);
   cursor_ = chunk_end;
   if (cursor_ >= range_.end) {
-    if (result_sink_ != nullptr) {
-      // Atomic fold of the partial count (see ColumnScanJob::Step): probe
-      // jobs may finish concurrently on parallel simulation lanes.
-      std::atomic_ref<uint64_t>(*result_sink_)
-          .fetch_add(matches_, std::memory_order_relaxed);
-    }
+    if (result_sink_ != nullptr) *result_sink_ += matches_;
     return false;
   }
   return true;

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/units.h"
-#include "sim/epoch_executor.h"
 
 namespace catdb::engine {
 
@@ -129,18 +128,18 @@ RunReport RunWorkload(sim::Machine* machine,
   const Status st = scheduler.SetupGroups();
   CATDB_CHECK(st.ok());
 
-  const std::unique_ptr<sim::Executor> executor = sim::MakeExecutor(machine);
+  sim::Executor executor(machine);
   std::vector<std::unique_ptr<QueryStream>> streams;
   for (const StreamSpec& spec : specs) {
     CATDB_CHECK(spec.query != nullptr);
     streams.push_back(std::make_unique<QueryStream>(
         spec.query, spec.cores, &scheduler, spec.max_iterations));
     for (uint32_t core : spec.cores) {
-      executor->Attach(core, streams.back().get());
+      executor.Attach(core, streams.back().get());
     }
   }
 
-  executor->RunUntil(horizon_cycles);
+  executor.RunUntil(horizon_cycles);
   return CollectRunReport(machine, scheduler, streams, horizon_cycles);
 }
 
@@ -158,13 +157,13 @@ RunReport RunQueryIterations(sim::Machine* machine, Query* query,
   const Status st = scheduler.SetupGroups();
   CATDB_CHECK(st.ok());
 
-  const std::unique_ptr<sim::Executor> executor = sim::MakeExecutor(machine);
+  sim::Executor executor(machine);
   std::vector<std::unique_ptr<QueryStream>> streams;
   streams.push_back(
       std::make_unique<QueryStream>(query, cores, &scheduler, iterations));
-  for (uint32_t core : cores) executor->Attach(core, streams.back().get());
+  for (uint32_t core : cores) executor.Attach(core, streams.back().get());
 
-  const uint64_t end_clock = executor->RunUntilIdle();
+  const uint64_t end_clock = executor.RunUntilIdle();
   return CollectRunReport(machine, scheduler, streams, end_clock);
 }
 

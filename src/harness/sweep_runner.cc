@@ -1,5 +1,6 @@
 #include "harness/sweep_runner.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -35,7 +36,12 @@ size_t SweepRunner::AddCell(std::string name,
 void SweepRunner::Run() {
   CATDB_CHECK(!ran_);
   {
-    ThreadPool pool(jobs_);
+    // Workers beyond the cell count would only idle (reports do not depend
+    // on the worker count), and a huge --jobs must not allocate a pool that
+    // large.
+    const size_t workers =
+        std::max<size_t>(1, std::min<size_t>(jobs_, cells_.size()));
+    ThreadPool pool(static_cast<unsigned>(workers));
     for (const std::unique_ptr<SweepCell>& cell_ptr : cells_) {
       SweepCell* cell = cell_ptr.get();
       pool.Submit([cell] {

@@ -88,8 +88,9 @@ class SweepRunner {
   /// cell index (also its rank in the merged outputs).
   size_t AddCell(std::string name, std::function<void(SweepCell&)> body);
 
-  /// Executes every cell across `jobs()` host threads, then merges the
-  /// per-cell report shards and trace buffers in cell-index order.
+  /// Executes every cell across min(jobs(), num_cells()) host threads, then
+  /// merges the per-cell report shards and trace buffers in cell-index
+  /// order.
   /// Rethrows the first cell failure (remaining cells still complete).
   void Run();
 

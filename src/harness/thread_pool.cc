@@ -1,6 +1,8 @@
 #include "harness/thread_pool.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -16,9 +18,15 @@ thread_local unsigned tls_worker = 0;
 
 unsigned ThreadPool::DefaultJobs() {
   if (const char* env = std::getenv("CATDB_JOBS")) {
+    // A malformed or out-of-range value (strtol saturates at LONG_MAX, and
+    // a value past UINT_MAX would wrap in the cast) falls back to the host
+    // count instead of aborting or silently running narrower.
+    errno = 0;
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
+    if (end != env && *end == '\0' && errno != ERANGE && v > 0 &&
+        static_cast<unsigned long>(v) <=
+            std::numeric_limits<unsigned>::max()) {
       return static_cast<unsigned>(v);
     }
   }

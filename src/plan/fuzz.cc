@@ -15,8 +15,8 @@ namespace catdb::plan {
 
 namespace {
 
-constexpr const char* kRegimeNames[kNumFuzzRegimes] = {
-    "default", "reference", "scalar", "simthreads2", "nosimd"};
+constexpr const char* kRegimeNames[kNumFuzzRegimes] = {"default", "scalar",
+                                                       "nosimd"};
 
 /// Digest of one regime's outcome: the serialized run report of the
 /// completed iterations. Identical digests across regimes mean identical
@@ -48,15 +48,9 @@ sim::MachineConfig FuzzRegimeConfig(size_t regime) {
     case 0:
       break;
     case 1:
-      cfg.hierarchy.reference_impl = true;
-      break;
-    case 2:
       cfg.batched_runs = false;
       break;
-    case 3:
-      cfg.sim_threads = 2;
-      break;
-    case 4:
+    case 2:
       cfg.hierarchy.simd = false;
       break;
     default:

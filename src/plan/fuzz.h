@@ -2,17 +2,15 @@
 #define CATDB_PLAN_FUZZ_H_
 
 // Differential plan fuzzing: every seeded random plan (plan_gen.h) executes
-// under five executor regimes that must not change simulated physics —
-//   default        : batched fast path, serial executor
-//   reference      : simcache reference hierarchy implementation
+// under three executor regimes that must not change simulated physics —
+//   default        : batched AccessRun path
 //   scalar         : batched_runs disabled (scalar access loop)
-//   simthreads2    : epoch-barriered parallel simulation (2 host threads)
 //   nosimd         : way_scan demoted to the scalar probes (hierarchy
 //                    simd=false — the CATDB_NO_SIMD semantics, per machine)
 // — and the FNV-1a digest of each regime's run report must be identical.
-// A digest mismatch means an executor optimization diverged from the
-// reference semantics; the harness fails with a Status naming every
-// diverging (plan, regime) pair.
+// A digest mismatch means a host-side optimization diverged from the
+// default semantics; the harness fails with a Status naming every diverging
+// (plan, regime) pair.
 
 #include <array>
 #include <cstdint>
@@ -26,7 +24,7 @@
 
 namespace catdb::plan {
 
-inline constexpr size_t kNumFuzzRegimes = 5;
+inline constexpr size_t kNumFuzzRegimes = 3;
 
 /// Report-key spelling of each regime, in execution order.
 const char* FuzzRegimeName(size_t regime);
@@ -49,7 +47,7 @@ struct FuzzResult {
 };
 
 /// Generates `opts.plans` cases from `opts.seed`, executes each under all
-/// five regimes, and verifies digest equality. Returns an error Status
+/// three regimes, and verifies digest equality. Returns an error Status
 /// listing every mismatch (the report is still complete in that case).
 Status RunPlanFuzz(const FuzzOptions& opts, FuzzResult* result);
 

@@ -38,7 +38,8 @@ CuidAnnotation DrawCuid(Rng* rng) {
 }
 
 /// A dataset the node's op can run against, with explicit (machine-
-/// independent) sizes small enough that 4 regimes x 2 iterations stay fast.
+/// independent) sizes small enough that every regime x 2 iterations stays
+/// fast.
 DatasetSpec DrawDataset(Rng* rng, OpKind op, const std::string& name) {
   DatasetSpec spec;
   spec.name = name;

@@ -4,9 +4,7 @@
 // Plan-only operators with no hand-coded bench counterpart: a
 // dictionary-decoding projection and a synthetic private-working-set
 // operator. Both follow the streaming-operator charging conventions of the
-// engine operators (batched ReadRuns, per-chunk scratch touches) and are
-// record-mode safe: they never read the context clock, so the epoch executor
-// can run them on recording lanes.
+// engine operators (batched ReadRuns, per-chunk scratch touches).
 
 #include <cstdint>
 

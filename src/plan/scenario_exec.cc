@@ -312,13 +312,11 @@ void RunServing(const Scenario& scenario, const ExecOptions& opts,
       const uint64_t seed = spec.seed_base + li;
       const serve::ServePolicyKind policy = ServePolicyOf(spec.policies[pi]);
       ServingOutcome::Cell* cell_out = &out->cells[li * num_policies + pi];
-      const sim::MachineConfig machine_config = opts.machine_config;
       const uint64_t num_tenants = out->tenants;
       const uint64_t horizon = out->horizon;
-      runner->AddCell(key, [&spec, machine_config, key, load, num_tenants,
-                            horizon, seed, policy,
-                            cell_out](harness::SweepCell& cell) {
-        sim::Machine& machine = cell.MakeMachine(machine_config);
+      runner->AddCell(key, [&spec, key, load, num_tenants, horizon, seed,
+                            policy, cell_out](harness::SweepCell& cell) {
+        sim::Machine& machine = cell.MakeMachine();
         const serve::ServeConfig config =
             MakeServeConfig(spec, load, num_tenants, horizon, seed);
         serve::ServingRunReport rep =

@@ -24,7 +24,6 @@
 #include "harness/sweep_runner.h"
 #include "obs/report.h"
 #include "plan/scenario.h"
-#include "sim/machine.h"
 
 namespace catdb::plan {
 
@@ -32,10 +31,6 @@ struct ExecOptions {
   unsigned jobs = 1;
   bool smoke = false;
   bool tracing = false;
-  /// Per-cell machine configuration. Only serving cells honor it (matching
-  /// ext_serving_tail, where --sim-threads reaches the cells); latency and
-  /// pair cells always build default-config machines like fig04/fig09.
-  sim::MachineConfig machine_config;
 };
 
 /// Latency sweep. Single-plan mode fills `cells` (one entry per way

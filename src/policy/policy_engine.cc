@@ -7,7 +7,7 @@
 #include "common/check.h"
 #include "engine/job_scheduler.h"
 #include "obs/trace.h"
-#include "sim/epoch_executor.h"
+#include "sim/executor.h"
 
 namespace catdb::policy {
 
@@ -72,14 +72,14 @@ PolicyRunReport RunWorkloadWithAllocator(
     result.group_names.push_back(group);
   }
 
-  const std::unique_ptr<sim::Executor> executor = sim::MakeExecutor(machine);
+  sim::Executor executor(machine);
   std::vector<std::unique_ptr<engine::QueryStream>> streams;
   for (const engine::StreamSpec& spec : specs) {
     CATDB_CHECK(spec.query != nullptr);
     streams.push_back(std::make_unique<engine::QueryStream>(
         spec.query, spec.cores, &scheduler, spec.max_iterations));
     for (uint32_t core : spec.cores) {
-      executor->Attach(core, streams.back().get());
+      executor.Attach(core, streams.back().get());
     }
   }
 
@@ -88,7 +88,7 @@ PolicyRunReport RunWorkloadWithAllocator(
 
   for (uint64_t t = config.interval_cycles;; t += config.interval_cycles) {
     const uint64_t stop = t < horizon_cycles ? t : horizon_cycles;
-    executor->RunUntil(stop);
+    executor.RunUntil(stop);
     result.intervals += 1;
 
     // The sample carries this interval's MRC snapshots (pre-aging), so the

@@ -11,7 +11,7 @@
 #include "engine/job_scheduler.h"
 #include "engine/partitioning_policy.h"
 #include "policy/way_allocator.h"
-#include "sim/epoch_executor.h"
+#include "sim/executor.h"
 #include "simcache/cache_geometry.h"
 
 namespace catdb::serve {
@@ -283,8 +283,8 @@ ServingRunReport ServeWorkload(sim::Machine* machine,
                        MergeArrivals(per_tenant), &recorder,
                        std::move(tenant_private_vbase), shared_vbase);
 
-  const std::unique_ptr<sim::Executor> executor = sim::MakeExecutor(machine);
-  for (uint32_t core : config.cores) executor->Attach(core, &source);
+  sim::Executor executor(machine);
+  for (uint32_t core : config.cores) executor.Attach(core, &source);
 
   ServingRunReport report;
   report.policy = ServePolicyName(policy);
@@ -306,7 +306,7 @@ ServingRunReport ServeWorkload(sim::Machine* machine,
 
     for (uint64_t t = config.interval_cycles;; t += config.interval_cycles) {
       const uint64_t stop = std::min(t, config.horizon_cycles);
-      executor->RunUntil(stop);
+      executor.RunUntil(stop);
       report.intervals += 1;
 
       std::vector<policy::StreamProfile> profiles(num_tenants);
@@ -343,7 +343,7 @@ ServingRunReport ServeWorkload(sim::Machine* machine,
       if (stop >= config.horizon_cycles) break;
     }
   } else {
-    executor->RunUntil(config.horizon_cycles);
+    executor.RunUntil(config.horizon_cycles);
   }
 
   machine->hierarchy().AttachShadowProfiler(nullptr);

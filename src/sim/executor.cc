@@ -22,7 +22,6 @@ void Executor::PollIdleCores() {
     if (task == nullptr) continue;
     cs.current = task;
     cs.dispatched = false;
-    OnTaskAssigned(c, task);
     // Enqueue at the cycle the task could start; the clock itself is not
     // advanced (and the dispatch hook not fired) until the task is actually
     // scheduled inside the horizon.

@@ -34,9 +34,7 @@ class Task {
   /// Work units (typically rows) completed so far, for fractional iteration
   /// accounting when a measurement horizon truncates a task. Steps report
   /// work through ExecContext::AddWork; the executor credits it here after
-  /// the Step is *applied* to the machine — under the epoch executor that is
-  /// replay time, not record time, so observers polling between RunUntil
-  /// calls see values identical to the serial schedule.
+  /// each Step returns.
   uint64_t work_done() const { return work_done_; }
   void CreditWork(uint64_t units) { work_done_ += units; }
 
@@ -102,29 +100,15 @@ class Executor {
   /// idle. Cores never start a new Step at or beyond the horizon, so `Run`
   /// is suitable for fixed-duration throughput measurements. Repeated calls
   /// with increasing horizons resume seamlessly (the dynamic policy's
-  /// interval loop). Virtual so the epoch executor can bracket the loop:
-  /// its recording lanes run only *inside* a RunUntil call — on return no
-  /// other thread touches tasks or sources, so callers may collect reports
-  /// and destroy streams without synchronizing with the executor.
-  virtual void RunUntil(uint64_t horizon);
+  /// interval loop).
+  void RunUntil(uint64_t horizon);
 
  protected:
   /// Runs one Step of `task` on `core` against the machine and credits the
-  /// work delta. The epoch executor overrides this to replay the next chunk
-  /// a recording lane staged ahead; the scheduling loop around it — and
-  /// therefore the canonical (cycle, core) order every side effect lands
-  /// in — is shared and final.
+  /// work delta. Virtual so a subclass can observe each Step (e.g. time
+  /// it); the scheduling loop around it — and therefore the (cycle, core)
+  /// order every side effect lands in — is shared and final.
   virtual bool StepTask(Task* task, uint32_t core);
-
-  /// Fired when PollIdleCores hands `task` to `core` (before dispatch; the
-  /// dispatch hook itself stays lazy). The epoch executor uses it to start
-  /// a recording lane on the task.
-  virtual void OnTaskAssigned(uint32_t core, Task* task) {
-    (void)core;
-    (void)task;
-  }
-
-  Machine* machine() const { return machine_; }
 
  private:
   struct CoreState {

@@ -46,16 +46,6 @@ Status Machine::ValidateConfig(const MachineConfig& config) {
     return Status::InvalidArgument(
         "cache geometries must have power-of-two sets and 1..64 ways");
   }
-  if (config.sim_threads < 1) {
-    return Status::InvalidArgument(
-        "sim_threads must be at least 1 (1 = serial executor)");
-  }
-  if (config.sim_threads > 1 && config.sim_threads - 1 > h.num_cores) {
-    return Status::InvalidArgument(
-        "sim_threads (" + std::to_string(config.sim_threads) +
-        ") exceeds num_cores+1 (" + std::to_string(h.num_cores + 1) +
-        "): more recording lanes than simulated cores cannot be used");
-  }
   return Status::OK();
 }
 
@@ -211,37 +201,21 @@ void Machine::PointAccess(uint32_t core, uint64_t addr) {
 
 void Machine::Access(uint32_t core, uint64_t addr, bool is_write) {
   (void)is_write;  // writes are timed like reads (write-allocate)
-  if (!config_.hierarchy.reference_impl) {
-    PointAccess(core, addr);
-    return;
-  }
-  // Reference mode keeps the unmemoized chain: per-access CLOS resolution,
-  // full translation, the hierarchy's reference walk.
-  simcache::HostCycleBreakdown* const hp = hierarchy_.host_profile();
-  const uint64_t t0 = hp != nullptr ? simcache::HostTimerNow() : 0;
-  const cat::ClosId clos = cat_.CoreClos(core);
-  const simcache::AccessResult r = hierarchy_.Access(
-      core, Translate(addr), clocks_[core], cat_.CoreMask(core), clos);
-  clocks_[core] += r.latency_cycles;
-  if (hp != nullptr) {
-    hp->scalar_access += simcache::HostTimerNow() - t0;
-    hp->scalar_accesses += 1;
-  }
+  PointAccess(core, addr);
 }
 
 void Machine::AccessRun(uint32_t core, uint64_t addr, uint64_t n_lines,
                         bool is_write) {
+  (void)is_write;  // writes are timed like reads (write-allocate)
   if (n_lines == 0) return;
-  if (!config_.batched_runs || config_.hierarchy.reference_impl) {
+  if (!config_.batched_runs) {
     // Scalar decomposition: same lines, same order, same per-access call
-    // chain — this is the baseline leg the self-benchmark measures against
-    // and the reference-mode path (whose caches have no fast-path twins).
+    // chain — the baseline leg the self-benchmark measures against.
     for (uint64_t i = 0; i < n_lines; ++i) {
-      Access(core, addr + i * simcache::kLineSize, is_write);
+      PointAccess(core, addr + i * simcache::kLineSize);
     }
     return;
   }
-  (void)is_write;  // writes are timed like reads (write-allocate)
   if (n_lines == 1) {
     // Single-line runs (point reads, short tail chunks) gain nothing from
     // run batching but would pay its per-run setup and counter flush; the

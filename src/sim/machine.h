@@ -33,34 +33,6 @@ struct MachineConfig {
   /// and the determinism goldens); the flag exists so the self-benchmark can
   /// measure the batching speedup and tests can pin the equivalence.
   bool batched_runs = true;
-  /// Total host threads simulating this machine. 1 (default) selects the
-  /// serial executor; N >= 2 selects the epoch executor: N-1 recording lanes
-  /// run task Steps ahead into per-core staging queues while one applier
-  /// thread replays the staged operations against the shared hierarchy in
-  /// canonical (cycle, core) order, so reports and traces stay bit-identical
-  /// to sim_threads=1 (pinned by tests/parallel_sim_test.cc).
-  uint32_t sim_threads = 1;
-};
-
-/// One simulated-machine operation recorded by a parallel recording lane
-/// while it runs a task's Step ahead of the canonical schedule. Replayed on
-/// the applier thread in canonical (cycle, core) order, a staged op performs
-/// exactly the machine call the serial executor would have made, so every
-/// cache, DRAM-queue, monitor and trace side effect lands identically.
-struct StagedOp {
-  enum class Kind : uint8_t { kAccess, kAccessRun, kCompute, kInstructions };
-  Kind kind = Kind::kAccess;
-  bool is_write = false;
-  uint64_t addr = 0;  // virtual address (kAccess/kAccessRun)
-  uint64_t n = 0;     // lines (kAccessRun), cycles (kCompute), count (kInstr)
-};
-
-/// Everything one Step() call charged to the machine, in call order, plus
-/// the work units it completed and whether it was the task's last Step.
-struct StagedChunk {
-  std::vector<StagedOp> ops;
-  uint64_t work_delta = 0;
-  bool last = false;
 };
 
 /// The simulated single-socket machine: virtual cores with cycle clocks, the
@@ -134,8 +106,7 @@ class Machine {
   /// 4 KiB page boundaries (physical lines are contiguous within a page, so
   /// translation happens once per segment), and each segment flows through
   /// MemoryHierarchy::AccessRun. Falls back to the scalar loop when
-  /// `batched_runs` is off or the hierarchy runs the reference
-  /// implementation.
+  /// `batched_runs` is off.
   void AccessRun(uint32_t core, uint64_t addr, uint64_t n_lines,
                  bool is_write);
 
@@ -205,12 +176,12 @@ class Machine {
   static constexpr uint32_t kScratchLines = 16;
 
  private:
-  // Per-core memo for the point-access fast path (fast mode only): the CLOS
-  // and CAT mask snapshot (valid while the CAT generation is unchanged) and
-  // the physical line base of the last-touched virtual page (valid forever:
-  // page mappings are immutable once assigned). Re-validating is two
-  // compares, so the hot exit of a point access needs neither the
-  // out-of-line CoreClos/CoreMask pair nor a page-table walk.
+  // Per-core memo for the point-access path: the CLOS and CAT mask snapshot
+  // (valid while the CAT generation is unchanged) and the physical line base
+  // of the last-touched virtual page (valid forever: page mappings are
+  // immutable once assigned). Re-validating is two compares, so the hot exit
+  // of a point access needs neither the out-of-line CoreClos/CoreMask pair
+  // nor a page-table walk.
   struct AccessContext {
     uint64_t vpage = ~uint64_t{0};
     uint64_t pline_base = 0;
@@ -219,9 +190,10 @@ class Machine {
     uint32_t clos = 0;
   };
 
-  // The point-access chain behind Access and single-line AccessRun calls in
-  // fast mode: memoized CLOS/mask/translation feeding the hierarchy's
-  // inline AccessPoint. Bit-identical to the unmemoized scalar chain.
+  // The point-access chain behind Access and single-line AccessRun calls:
+  // memoized CLOS/mask/translation feeding the hierarchy's inline
+  // AccessPoint. Bit-identical to resolving CLOS, mask and translation on
+  // every call.
   void PointAccess(uint32_t core, uint64_t addr);
 
   // Assigns a fresh physical page of one of the colors in `color_mask`
@@ -269,94 +241,42 @@ class ScopedPageColors {
 
 /// Handle passed to jobs while they execute on a core: all simulated memory
 /// traffic and compute cost flows through this object.
-///
-/// Two modes share one type so task code never branches:
-///  * apply mode (record == nullptr): every call charges the machine
-///    immediately — the serial executor's path.
-///  * record mode (record != nullptr): calls append StagedOps to the chunk
-///    instead of touching the machine; a parallel recording lane runs the
-///    Step ahead of the canonical schedule and the applier thread replays
-///    the chunk later. Recorded Steps must be timing-independent: now() is
-///    a CHECK failure in record mode, and machine() may only be used for
-///    immutable metadata (scratch bases, geometry) — never clocks or stats.
 class ExecContext {
  public:
-  ExecContext(Machine* machine, uint32_t core, StagedChunk* record = nullptr)
-      : machine_(machine), core_(core), record_(record) {}
+  ExecContext(Machine* machine, uint32_t core)
+      : machine_(machine), core_(core) {}
 
   uint32_t core() const { return core_; }
-  uint64_t now() const {
-    // A task that reads the clock cannot be recorded ahead of the schedule;
-    // such tasks are serial-only (sim_threads=1).
-    CATDB_CHECK(record_ == nullptr);
-    return machine_->clock(core_);
-  }
+  uint64_t now() const { return machine_->clock(core_); }
   Machine& machine() { return *machine_; }
 
   /// Simulated read of the cache line holding virtual address `addr`.
-  void Read(uint64_t addr) {
-    if (record_ != nullptr) {
-      record_->ops.push_back({StagedOp::Kind::kAccess, false, addr, 0});
-      return;
-    }
-    machine_->Access(core_, addr, false);
-  }
+  void Read(uint64_t addr) { machine_->Access(core_, addr, false); }
 
   /// Simulated write (timed like a read; write-allocate).
-  void Write(uint64_t addr) {
-    if (record_ != nullptr) {
-      record_->ops.push_back({StagedOp::Kind::kAccess, true, addr, 0});
-      return;
-    }
-    machine_->Access(core_, addr, true);
-  }
+  void Write(uint64_t addr) { machine_->Access(core_, addr, true); }
 
   /// Simulated read of `n_lines` consecutive cache lines starting at the
   /// line holding `addr` — the batched form of a per-line Read loop, for
   /// streaming operators (column scans, join key walks, posting lists).
   void ReadRun(uint64_t addr, uint64_t n_lines) {
-    if (record_ != nullptr) {
-      record_->ops.push_back({StagedOp::Kind::kAccessRun, false, addr,
-                              n_lines});
-      return;
-    }
     machine_->AccessRun(core_, addr, n_lines, false);
   }
 
   /// Simulated write of `n_lines` consecutive cache lines (timed like
   /// ReadRun; write-allocate).
   void WriteRun(uint64_t addr, uint64_t n_lines) {
-    if (record_ != nullptr) {
-      record_->ops.push_back({StagedOp::Kind::kAccessRun, true, addr,
-                              n_lines});
-      return;
-    }
     machine_->AccessRun(core_, addr, n_lines, true);
   }
 
   /// Charges pure compute cycles.
-  void Compute(uint64_t cycles) {
-    if (record_ != nullptr) {
-      record_->ops.push_back({StagedOp::Kind::kCompute, false, 0, cycles});
-      return;
-    }
-    machine_->Compute(core_, cycles);
-  }
+  void Compute(uint64_t cycles) { machine_->Compute(core_, cycles); }
 
   /// Counts retired instructions for the MPI metric.
-  void Instructions(uint64_t n) {
-    if (record_ != nullptr) {
-      record_->ops.push_back({StagedOp::Kind::kInstructions, false, 0, n});
-      return;
-    }
-    machine_->CountInstructions(n);
-  }
+  void Instructions(uint64_t n) { machine_->CountInstructions(n); }
 
   /// Credits `units` of completed work (rows) to the running task. The
-  /// executor flushes the delta into the task after the Step returns — at
-  /// replay time under the epoch executor — so fractional iteration
-  /// accounting at a measurement horizon sees identical values at any
-  /// sim-thread count.
+  /// executor flushes the delta into the task after the Step returns.
   void AddWork(uint64_t units) { work_delta_ += units; }
 
   /// Returns and clears the accumulated work delta (executor-internal).
@@ -369,32 +289,8 @@ class ExecContext {
  private:
   Machine* machine_;
   uint32_t core_;
-  StagedChunk* record_;
   uint64_t work_delta_ = 0;
 };
-
-/// Replays one staged chunk's operations against the machine, in recorded
-/// order, on behalf of `core`. Called by the epoch executor's applier thread
-/// at the chunk's canonical position in the schedule.
-inline void ApplyStagedChunk(Machine* machine, uint32_t core,
-                             const StagedChunk& chunk) {
-  for (const StagedOp& op : chunk.ops) {
-    switch (op.kind) {
-      case StagedOp::Kind::kAccess:
-        machine->Access(core, op.addr, op.is_write);
-        break;
-      case StagedOp::Kind::kAccessRun:
-        machine->AccessRun(core, op.addr, op.n, op.is_write);
-        break;
-      case StagedOp::Kind::kCompute:
-        machine->Compute(core, op.n);
-        break;
-      case StagedOp::Kind::kInstructions:
-        machine->CountInstructions(op.n);
-        break;
-    }
-  }
-}
 
 }  // namespace catdb::sim
 

@@ -21,14 +21,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
     prefetchers_.push_back(
         std::make_unique<StreamPrefetcher>(config_.prefetcher));
   }
-  if (config_.reference_impl) {
-    llc_->set_reference_mode(true);
-    for (uint32_t c = 0; c < config_.num_cores; ++c) {
-      l1_[c]->set_reference_mode(true);
-      l2_[c]->set_reference_mode(true);
-      prefetchers_[c]->set_reference_mode(true);
-    }
-  }
   // Per-machine SIMD resolution (rather than reading the process default at
   // every probe): differential regimes build SIMD-on and SIMD-off machines
   // in one process, so the level must be instance state.
@@ -43,109 +35,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
   core_stats_.resize(config_.num_cores);
   clos_monitors_.resize(kMaxClos);
   profile_tags_.assign(config_.num_cores, kProfileTagClos);
-}
-
-AccessResult MemoryHierarchy::Access(uint32_t core, uint64_t addr,
-                                     uint64_t now, uint64_t llc_alloc_mask,
-                                     uint32_t clos) {
-  CATDB_DCHECK(core < config_.num_cores);
-  CATDB_DCHECK(clos < kMaxClos);
-  const uint64_t line = LineOf(addr);
-  // Fast mode shares the point-access path (inline L1-hit exit), so the two
-  // public entries cannot drift apart. Only the reference cost model stays
-  // here.
-  if (!config_.reference_impl) {
-    return AccessPoint(core, line, now, llc_alloc_mask, clos);
-  }
-  HierarchyStats& cs = core_stats_[core];
-  ClosMonitor& mon = clos_monitors_[clos];
-  AccessResult result;
-
-  // Give the prefetcher a chance to stage lines ahead of this stream. Doing
-  // this before the lookup matches hardware: the streamer trains on the
-  // demand stream regardless of hit/miss.
-  IssuePrefetches(core, line, now, llc_alloc_mask, clos);
-
-  // Reference cost model: the seed probed the pending-prefetch table before
-  // the L1 lookup on every access. Keep that probe (and its cost), but
-  // consume the entry only on the L1-miss paths, so both implementations
-  // follow the fixed accounting semantics.
-  uint64_t pending_wait = 0;
-  bool ref_pending = false;
-  if (auto it = prefetch_ready_ref_.find(line);
-      it != prefetch_ready_ref_.end()) {
-    ref_pending = true;
-    if (it->second > now) pending_wait = it->second - now;
-  }
-
-  if (l1_[core]->Lookup(line)) {
-    // An L1 hit is served entirely by the private cache: a prefetch still
-    // in flight for the same line (possible with a non-inclusive LLC,
-    // where eviction does not scrub L1 copies or pending entries) did not
-    // supply the data, so it neither counts as a prefetch hit nor delays
-    // the access; the pending entry stays until a real consumer arrives.
-    stats_.l1.hits += 1;
-    cs.l1.hits += 1;
-    result.latency_cycles = config_.latency.l1_hit;
-    result.level = HitLevel::kL1;
-    return result;
-  }
-  stats_.l1.misses += 1;
-  cs.l1.misses += 1;
-
-  // If the line is an in-flight prefetch that has not arrived yet, the
-  // demand access waits for the remainder of the transfer (partial latency
-  // hiding — this is what couples a prefetch-covered scan to the DRAM
-  // bandwidth).
-  if (ref_pending) {
-    stats_.prefetch_hits += 1;
-    cs.prefetch_hits += 1;
-    prefetch_ready_ref_.erase(line);
-  }
-
-  if (l2_[core]->Lookup(line)) {
-    stats_.l2.hits += 1;
-    cs.l2.hits += 1;
-    FillPrivate(core, line, /*l2_resident=*/true);
-    result.latency_cycles = config_.latency.l2_hit + pending_wait;
-    result.level = HitLevel::kL2;
-    return result;
-  }
-  stats_.l2.misses += 1;
-  cs.l2.misses += 1;
-
-  // Shadow-tag profiling sees every demand LLC lookup, hit or miss, before
-  // the real probe — the per-CLOS auxiliary tags measure what the class
-  // *would* hit at any way allocation, independent of its current mask.
-  if (shadow_profiler_ != nullptr) {
-    const uint32_t tag = profile_tags_[core];
-    shadow_profiler_->Observe(tag == kProfileTagClos ? clos : tag, line);
-  }
-
-  if (llc_->Lookup(line)) {
-    stats_.llc.hits += 1;
-    cs.llc.hits += 1;
-    mon.llc.hits += 1;
-    FillPrivate(core, line, /*l2_resident=*/false);
-    result.latency_cycles = config_.latency.llc_hit + pending_wait;
-    result.level = HitLevel::kLlc;
-    return result;
-  }
-  stats_.llc.misses += 1;
-  cs.llc.misses += 1;
-  mon.llc.misses += 1;
-
-  uint64_t wait = 0;
-  const uint64_t dram_latency = dram_.RequestLine(now, &wait);
-  stats_.dram_accesses += 1;
-  stats_.dram_wait_cycles += wait;
-  cs.dram_accesses += 1;
-  cs.dram_wait_cycles += wait;
-  mon.mbm_lines += 1;
-  FillFromDram(core, line, llc_alloc_mask, clos);
-  result.latency_cycles = config_.latency.llc_hit + dram_latency;
-  result.level = HitLevel::kDram;
-  return result;
 }
 
 AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
@@ -164,8 +53,8 @@ AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
   // If the line is an in-flight prefetch that has not arrived yet, the
   // demand access waits for the remainder of the transfer (partial latency
   // hiding — this is what couples a prefetch-covered scan to the DRAM
-  // bandwidth). Fast mode probes the pending table only after an L1 miss;
-  // Take consumes the entry in the same probe chain that found it.
+  // bandwidth). The pending table is probed only after an L1 miss; Take
+  // consumes the entry in the same probe chain that found it.
   uint64_t pending_wait = 0;
   uint64_t ready = 0;
   if (prefetch_ready_.Take(line, &ready)) {
@@ -182,8 +71,8 @@ AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
   if (l2.LookupOrVictim(line, &l2_victim)) {
     stats_.l2.hits += 1;
     cs.l2.hits += 1;
-    // FillPrivate with l2_resident=true, minus the LLC presence re-probe
-    // (see the run loop's L2-hit path for why the bit is already set).
+    // The L2 lookup promoted the line and its LLC presence bit is already
+    // set (see the run loop's L2-hit path); only the L1 fill remains.
     l1.FillAt(l1_victim, line);
     result.latency_cycles = config_.latency.l2_hit + pending_wait;
     result.level = HitLevel::kL2;
@@ -265,7 +154,6 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
                                         uint64_t n_lines, uint64_t now,
                                         uint64_t llc_alloc_mask,
                                         uint32_t clos) {
-  CATDB_DCHECK(!config_.reference_impl);
   CATDB_DCHECK(core < config_.num_cores);
   CATDB_DCHECK(clos < kMaxClos);
   CATDB_DCHECK(n_lines >= 1);
@@ -419,8 +307,8 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
     prof_end(c_l1);
     if (l1_hit) {
       // L1-resident streak: the hit folds into the batched counters and one
-      // latency add; nothing else in the hierarchy moves (fast mode leaves
-      // pending prefetches untouched on L1 hits).
+      // latency add; nothing else in the hierarchy moves (an L1 hit leaves
+      // pending prefetches untouched, see AccessPoint).
       n_l1_hits += 1;
       now += lat_l1;
       continue;
@@ -455,8 +343,8 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
     if (l2_hit) {
       n_l2_hits += 1;
       prof_begin();
-      // FillPrivate with l2_resident=true, minus the LLC presence re-probe:
-      // every fast-mode L2 fill is accompanied by an LLC presence mark for
+      // The L2 lookup promoted the line, and no LLC presence re-probe is
+      // needed: every L2 fill is accompanied by an LLC presence mark for
       // this core, and inclusive eviction scrubs the L2 copy, so an L2 hit
       // implies the bit is already set. Only the L1 fill remains, and the
       // demand probe above already picked its victim.
@@ -593,24 +481,24 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
   return now - start;
 }
 
-void MemoryHierarchy::FillFromDram(uint32_t core, uint64_t line,
-                                   uint64_t llc_alloc_mask, uint32_t clos) {
-  InsertIntoLlc(line, llc_alloc_mask, clos);
-  FillPrivate(core, line, /*l2_resident=*/false);
-}
-
-void MemoryHierarchy::InsertIntoLlc(uint64_t line, uint64_t llc_alloc_mask,
-                                    uint32_t clos) {
-  if (!config_.reference_impl) {
-    InsertIntoLlcAt(line, llc_alloc_mask, clos);
-    return;
-  }
-  // Reference path: both callers (demand DRAM fill, prefetch fill) have
-  // just established the line misses the LLC, so the already-present scan
-  // can be skipped.
+size_t MemoryHierarchy::InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
+                                        uint32_t clos,
+                                        uint64_t* evicted_line_out,
+                                        uint32_t* evicted_presence_out) {
+  // The caller has just established the line misses the LLC, so the
+  // already-present scan can be skipped; InsertNewAt always fills and
+  // reports the slot.
   const uint64_t before = llc_->ValidLineCount();
-  std::optional<EvictedLine> evicted =
-      llc_->InsertNew(line, llc_alloc_mask, static_cast<uint16_t>(clos));
+  size_t slot = 0;
+  std::optional<EvictedLine> evicted = llc_->InsertNewAt(
+      line, llc_alloc_mask, static_cast<uint16_t>(clos), &slot);
+  if (evicted_line_out != nullptr) {
+    *evicted_line_out =
+        evicted.has_value() ? evicted->line : SetAssocCache::kInvalidTag;
+  }
+  if (evicted_presence_out != nullptr) {
+    *evicted_presence_out = evicted.has_value() ? evicted->presence : 0;
+  }
   // CMT occupancy accounting: a fill that was not a mere promotion adds a
   // line to the filler's class; the victim's class loses one.
   if (evicted.has_value()) {
@@ -626,53 +514,11 @@ void MemoryHierarchy::InsertIntoLlc(uint64_t line, uint64_t llc_alloc_mask,
     // Inclusive LLC: a victimized line must disappear from all private
     // caches. This is the mechanism that lets one core's streaming evict
     // another core's hot dictionary lines out of its L2 — the "cache
-    // pollution" the paper is about. The reference path brute-forces every
-    // core, as the seed did; the fast path (InsertIntoLlcAt) visits only
-    // cores whose presence bit is set. Both count the same
-    // back-invalidations: cores without a private copy contribute nothing
-    // either way.
-    for (uint32_t c = 0; c < config_.num_cores; ++c) {
-      bool invalidated = l1_[c]->Invalidate(evicted->line);
-      invalidated |= l2_[c]->Invalidate(evicted->line);
-      if (invalidated) stats_.llc_back_invalidations += 1;
-    }
-    prefetch_ready_ref_.erase(evicted->line);
-  }
-}
-
-size_t MemoryHierarchy::InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
-                                        uint32_t clos,
-                                        uint64_t* evicted_line_out,
-                                        uint32_t* evicted_presence_out) {
-  CATDB_DCHECK(!config_.reference_impl);
-  // The caller has just established the line misses the LLC, so the
-  // already-present scan can be skipped; InsertNewAt always fills and
-  // reports the slot.
-  const uint64_t before = llc_->ValidLineCount();
-  size_t slot = 0;
-  std::optional<EvictedLine> evicted = llc_->InsertNewAt(
-      line, llc_alloc_mask, static_cast<uint16_t>(clos), &slot);
-  if (evicted_line_out != nullptr) {
-    *evicted_line_out =
-        evicted.has_value() ? evicted->line : SetAssocCache::kInvalidTag;
-  }
-  if (evicted_presence_out != nullptr) {
-    *evicted_presence_out = evicted.has_value() ? evicted->presence : 0;
-  }
-  if (evicted.has_value()) {
-    clos_monitors_[clos].occupancy_lines += 1;
-    ClosMonitor& victim = clos_monitors_[evicted->owner];
-    CATDB_DCHECK(victim.occupancy_lines > 0);
-    victim.occupancy_lines -= 1;
-  } else if (llc_->ValidLineCount() != before) {
-    clos_monitors_[clos].occupancy_lines += 1;
-  }
-
-  if (evicted.has_value() && config_.inclusive_llc) {
-    // Targeted back-invalidation: only cores whose presence bit is set (a
-    // conservative superset of actual private holders) are visited. The
-    // private invalidations never touch the LLC, so `slot` stays valid for
-    // the caller's MarkPresentAt.
+    // pollution" the paper is about. Only cores whose presence bit is set (a
+    // conservative superset of actual private holders) are visited; cores
+    // without a private copy would contribute nothing. The private
+    // invalidations never touch the LLC, so `slot` stays valid for the
+    // caller's MarkPresentAt.
     for (uint32_t bits = evicted->presence; bits != 0; bits &= bits - 1) {
       const uint32_t c = static_cast<uint32_t>(__builtin_ctz(bits));
       bool invalidated = l1_[c]->Invalidate(evicted->line);
@@ -684,50 +530,20 @@ size_t MemoryHierarchy::InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
   return slot;
 }
 
-void MemoryHierarchy::FillPrivate(uint32_t core, uint64_t line,
-                                  bool l2_resident) {
-  if (config_.reference_impl) {
-    l2_[core]->Insert(line);
-    l1_[core]->Insert(line);
-    return;
-  }
-  // An L2 hit already promoted the line (Lookup), so re-inserting would
-  // only burn a stamp; on the LLC/DRAM paths the line is known absent from
-  // both private levels. Either way the line's presence on this core must
-  // be recorded in the LLC for targeted back-invalidation.
-  if (!l2_resident) l2_[core]->InsertNew(line);
-  l1_[core]->InsertNew(line);
-  if (config_.inclusive_llc) llc_->MarkPresent(line, core);
-}
-
-void MemoryHierarchy::IssuePrefetches(uint32_t core, uint64_t line,
-                                      uint64_t now, uint64_t llc_alloc_mask,
-                                      uint32_t clos) {
-  if (!config_.prefetcher.enabled) return;
-  scratch_prefetch_lines_.clear();
-  prefetchers_[core]->OnDemandAccess(line, &scratch_prefetch_lines_);
-  if (!scratch_prefetch_lines_.empty()) {
-    EmitStagedPrefetches(core, now, llc_alloc_mask, clos);
-  }
-}
-
 void MemoryHierarchy::EmitStagedPrefetches(uint32_t core, uint64_t now,
                                            uint64_t llc_alloc_mask,
                                            uint32_t clos) {
-  const bool ref = config_.reference_impl;
   for (uint64_t pf : scratch_prefetch_lines_) {
-    // Fast mode keeps the slot of the LLC probe / insert so the presence
-    // mark is a single store instead of a re-probe (the run loop's
-    // prefetch-insert discipline); the reference path keeps the seed's
-    // Contains + MarkPresent probes.
-    const int64_t pslot = ref ? (llc_->Contains(pf) ? 0 : -1)
-                              : llc_->FindSlotHinted(pf);
+    // Keep the slot of the LLC probe / insert so the presence mark is a
+    // single store instead of a re-probe (the run loop's prefetch-insert
+    // discipline).
+    const int64_t pslot = llc_->FindSlotHinted(pf);
     if (pslot >= 0) {
       // LLC-resident: the L2 streamer still stages the line into the
       // requesting core's L2 (LLC -> L2 prefetch, no DRAM traffic), so a
       // fully cached stream is at least as fast as a DRAM-prefetched one.
       l2_[core]->Insert(pf);
-      if (!ref && config_.inclusive_llc) {
+      if (config_.inclusive_llc) {
         llc_->MarkPresentAt(static_cast<size_t>(pslot), core);
       }
       continue;
@@ -740,11 +556,7 @@ void MemoryHierarchy::EmitStagedPrefetches(uint32_t core, uint64_t now,
       core_stats_[core].prefetches_dropped += 1;
       continue;
     }
-    if (ref) {
-      prefetch_ready_ref_[pf] = ready_time;
-    } else {
-      prefetch_ready_.Assign(pf, ready_time);
-    }
+    prefetch_ready_.Assign(pf, ready_time);
     stats_.prefetches_issued += 1;
     core_stats_[core].prefetches_issued += 1;
     // Hardware LLC-miss counters (what the paper samples with Intel PCM)
@@ -757,15 +569,6 @@ void MemoryHierarchy::EmitStagedPrefetches(uint32_t core, uint64_t now,
     clos_monitors_[clos].mbm_lines += 1;
     // Prefetches fill the LLC and the requesting core's L2 (Intel's L2
     // streamer behaviour) and honour the core's CAT allocation mask.
-    if (ref) {
-      InsertIntoLlc(pf, llc_alloc_mask, clos);
-      if (config_.inclusive_llc) {
-        l2_[core]->InsertNew(pf);
-      } else {
-        l2_[core]->Insert(pf);
-      }
-      continue;
-    }
     const size_t slot = InsertIntoLlcAt(pf, llc_alloc_mask, clos);
     if (config_.inclusive_llc) {
       // The line missed the LLC, so with an inclusive LLC it cannot be in
@@ -799,7 +602,6 @@ void MemoryHierarchy::ResetAll() {
   }
   dram_.Reset();
   prefetch_ready_.Clear();
-  prefetch_ready_ref_.clear();
   for (auto& mon : clos_monitors_) mon.occupancy_lines = 0;
   profile_tags_.assign(config_.num_cores, kProfileTagClos);
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "simcache/cache_geometry.h"
@@ -31,21 +30,14 @@ struct HierarchyConfig {
   /// If false, LLC evictions do not back-invalidate private caches
   /// (exclusive-ish behaviour; exists for the ablation bench).
   bool inclusive_llc = true;
-  /// If true, the hierarchy and its caches/prefetchers run the seed-era
-  /// reference implementation (std::unordered_map pending-prefetch table,
-  /// brute-force back-invalidation over every private cache, no way hints,
-  /// full scans). Simulated results are bit-identical to the fast
-  /// implementation — only the host-side cost differs. The self-benchmark
-  /// uses this as its pre-change baseline, and an equivalence test pins the
-  /// two implementations against each other.
-  bool reference_impl = false;
-  /// If true (default), the fast-layout caches probe their SoA tag/stamp
-  /// arrays through the way_scan SIMD primitives at the best level the host
-  /// supports (SSE2 baseline, AVX2 when detected; demoted process-wide by
-  /// the CATDB_NO_SIMD environment variable). If false, the caches use the
-  /// scalar probes — the differential oracle the nosimd fuzz regime and the
-  /// selfperf simd_off leg run against. Simulated results are identical
-  /// either way.
+  /// If true (default), the caches probe their SoA tag/stamp arrays through
+  /// the way_scan primitives at the best level the host supports (SSE2
+  /// baseline, AVX2 when detected; demoted process-wide by the
+  /// CATDB_NO_SIMD environment variable). If false, the caches run their
+  /// fused one-pass scalar loops instead — different code from the
+  /// dispatched two-pass scans, so the nosimd fuzz regime and the selfperf
+  /// simd_off leg check one against the other. Simulated results are
+  /// identical either way.
   bool simd = true;
 };
 
@@ -90,20 +82,18 @@ class MemoryHierarchy {
   /// core's current class of service, and `clos` that class itself (used as
   /// the monitoring tag for CMT/MBM accounting).
   AccessResult Access(uint32_t core, uint64_t addr, uint64_t now,
-                      uint64_t llc_alloc_mask, uint32_t clos = 0);
+                      uint64_t llc_alloc_mask, uint32_t clos = 0) {
+    return AccessPoint(core, LineOf(addr), now, llc_alloc_mask, clos);
+  }
 
-  /// Point-access fast path: Access() for a caller that already holds the
-  /// *line* number (not the byte address). Fast mode only — reference mode
-  /// goes through Access(). Defined inline so the dominant outcome, an L1
-  /// hit on a warm line, runs entirely within the caller: prefetcher
-  /// training (out of line only when the streamer actually stages lines),
-  /// the one-compare L1 way-hint probe, and the hit bookkeeping. Everything
-  /// past an L1 miss is the out-of-line AccessPointMiss tail, which is the
-  /// scalar Access tail verbatim — state evolution is bit-identical to
-  /// Access() on every path.
+  /// Access() for a caller that already holds the *line* number (not the
+  /// byte address). Defined inline so the dominant outcome, an L1 hit on a
+  /// warm line, runs entirely within the caller: prefetcher training (out
+  /// of line only when the streamer actually stages lines), the one-compare
+  /// L1 way-hint probe, and the hit bookkeeping. Everything past an L1 miss
+  /// is the out-of-line AccessPointMiss tail.
   AccessResult AccessPoint(uint32_t core, uint64_t line, uint64_t now,
                            uint64_t llc_alloc_mask, uint32_t clos = 0) {
-    CATDB_DCHECK(!config_.reference_impl);
     CATDB_DCHECK(core < config_.num_cores);
     CATDB_DCHECK(clos < kMaxClos);
     // Train the streamer before the lookup (hardware trains on the demand
@@ -118,8 +108,12 @@ class MemoryHierarchy {
     }
     size_t l1_victim = 0;
     if (l1_[core]->LookupOrVictim(line, &l1_victim)) {
-      // Fast mode leaves pending prefetches untouched on L1 hits (see
-      // Access); nothing else in the hierarchy moves.
+      // An L1 hit is served entirely by the private cache: a prefetch still
+      // in flight for the same line (possible with a non-inclusive LLC,
+      // where eviction does not scrub L1 copies or pending entries) did not
+      // supply the data, so it neither counts as a prefetch hit nor delays
+      // the access; the pending entry stays until a real consumer arrives.
+      // Nothing else in the hierarchy moves.
       stats_.l1.hits += 1;
       core_stats_[core].l1.hits += 1;
       return AccessResult{config_.latency.l1_hit, HitLevel::kL1};
@@ -136,8 +130,7 @@ class MemoryHierarchy {
   /// stats/latency fold into a single update. Returns the summed latency;
   /// `now` advances internally per line, so DRAM booking and prefetch
   /// arrival times are cycle-identical to the scalar path (pinned by
-  /// tests/batched_access_test.cc). Not available in reference mode — the
-  /// Machine decomposes runs into scalar Access calls there.
+  /// tests/batched_access_test.cc).
   uint64_t AccessRun(uint32_t core, uint64_t first_line, uint64_t n_lines,
                      uint64_t now, uint64_t llc_alloc_mask,
                      uint32_t clos = 0);
@@ -235,18 +228,13 @@ class MemoryHierarchy {
   template <bool kProfiled>
   uint64_t AccessRunImpl(uint32_t core, uint64_t first_line, uint64_t n_lines,
                          uint64_t now, uint64_t llc_alloc_mask, uint32_t clos);
-  // Books a DRAM line fetch and fills LLC/L2/L1 along the way.
-  void FillFromDram(uint32_t core, uint64_t line, uint64_t llc_alloc_mask,
-                    uint32_t clos);
-  // Inserts into the LLC honouring the allocation mask; on eviction performs
-  // inclusive back-invalidation of all private caches and updates the CMT
-  // occupancy of filler and victim.
-  void InsertIntoLlc(uint64_t line, uint64_t llc_alloc_mask, uint32_t clos);
-  // Fast-mode InsertIntoLlc that returns the filled line's SoA slot in the
-  // LLC, so run-loop callers can mark presence with a single store. When
-  // `evicted_line_out` is non-null it receives the evicted line address
-  // (SetAssocCache::kInvalidTag if nothing was evicted) — the run loop
-  // scrubs its run-local pending-prefetch FIFO with it. When
+  // Inserts a line known to miss the LLC, honouring the allocation mask; on
+  // eviction performs inclusive back-invalidation of the private caches and
+  // updates the CMT occupancy of filler and victim. Returns the filled
+  // line's SoA slot in the LLC, so callers can mark presence with a single
+  // store. When `evicted_line_out` is non-null it receives the evicted line
+  // address (SetAssocCache::kInvalidTag if nothing was evicted) — the run
+  // loop scrubs its run-local pending-prefetch FIFO with it. When
   // `evicted_presence_out` is non-null it receives the evicted line's core
   // presence mask (0 if nothing was evicted) — demand fills use it to tell
   // whether back-invalidation could have touched the accessing core's
@@ -256,21 +244,15 @@ class MemoryHierarchy {
                          uint32_t clos,
                          uint64_t* evicted_line_out = nullptr,
                          uint32_t* evicted_presence_out = nullptr);
-  // Fills the line into the core's private caches. `l2_resident` tells the
-  // fast path the line was just promoted by the L2 lookup (skip the
-  // re-insert); otherwise the line is known absent from both levels.
-  void FillPrivate(uint32_t core, uint64_t line, bool l2_resident);
-  void IssuePrefetches(uint32_t core, uint64_t line, uint64_t now,
-                       uint64_t llc_alloc_mask, uint32_t clos);
-  // Emits the lines the streamer staged in scratch_prefetch_lines_ (both
-  // modes): LLC-resident lines go straight to the core's L2; the rest book a
-  // DRAM prefetch, enter the pending table and fill LLC + L2.
+  // Emits the lines the streamer staged in scratch_prefetch_lines_:
+  // LLC-resident lines go straight to the core's L2; the rest book a DRAM
+  // prefetch, enter the pending table and fill LLC + L2.
   void EmitStagedPrefetches(uint32_t core, uint64_t now,
                             uint64_t llc_alloc_mask, uint32_t clos);
   // Out-of-line tail of AccessPoint past an L1 miss: pending-table consume,
-  // L2 / shadow / LLC / DRAM — the fast-mode Access tail with the run
-  // loop's victim-reuse discipline. `l1_victim` is the victim slot the
-  // inline L1 probe precomputed on its miss.
+  // L2 / shadow / LLC / DRAM, with the run loop's victim-reuse discipline.
+  // `l1_victim` is the victim slot the inline L1 probe precomputed on its
+  // miss.
   AccessResult AccessPointMiss(uint32_t core, uint64_t line, uint64_t now,
                                uint64_t llc_alloc_mask, uint32_t clos,
                                size_t l1_victim);
@@ -284,10 +266,8 @@ class MemoryHierarchy {
   // In-flight prefetched lines: line -> cycle at which the data arrives.
   // A demand access that lands before arrival waits for the remainder.
   // Flat open-addressing table: probed on every demand L1 miss, so it must
-  // be cheap on the (overwhelmingly common) absent case. The unordered_map
-  // twin holds the same data when config_.reference_impl is set.
+  // be cheap on the (overwhelmingly common) absent case.
   LineMap prefetch_ready_;
-  std::unordered_map<uint64_t, uint64_t> prefetch_ready_ref_;
   HierarchyStats stats_;
   std::vector<HierarchyStats> core_stats_;
   std::vector<ClosMonitor> clos_monitors_;

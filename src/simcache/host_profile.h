@@ -62,10 +62,6 @@ struct HostCycleBreakdown {
   uint64_t scalar_access = 0;  // whole scalar Access calls (point accesses)
   uint64_t run_setup = 0;      // AccessRun prologue: CLOS/mask decode,
                                //   reference binding, loop-state setup
-  uint64_t staging = 0;        // parallel lanes: recording Steps into
-                               //   per-core staged chunks (lane host time)
-  uint64_t barrier_wait = 0;   // parallel applier: blocked waiting for a
-                               //   lane to stage the next chunk
   uint64_t run_other = 0;      // AccessRun time not attributed above
   uint64_t run_total = 0;      // wall total inside AccessRun
   uint64_t runs = 0;           // AccessRun invocations observed
@@ -86,8 +82,6 @@ struct HostCycleBreakdown {
             {"translate", translate},
             {"scalar_access", scalar_access},
             {"run_setup", run_setup},
-            {"staging", staging},
-            {"barrier_wait", barrier_wait},
             {"run_other", run_other}};
   }
 

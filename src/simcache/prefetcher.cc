@@ -83,41 +83,6 @@ void StreamPrefetcher::BeginRun(uint64_t first_line, uint64_t last_line,
   }
 }
 
-void StreamPrefetcher::OnDemandAccessReference(uint64_t line,
-                                               std::vector<uint64_t>* out) {
-  const uint32_t n = config_.num_streams;
-  // Re-access of a stream head: refresh recency, nothing to prefetch.
-  for (uint32_t i = 0; i < n; ++i) {
-    if (heads_[i] != kNoStream && heads_[i] == line) {
-      stamps_[i] = ++stamp_counter_;
-      return;
-    }
-  }
-
-  // Extension of an existing ascending stream? The explicit live guard
-  // matters: a free slot's all-ones head plus one wraps to line 0.
-  for (uint32_t i = 0; i < n; ++i) {
-    if (heads_[i] != kNoStream && line == heads_[i] + 1) {
-      ExtendStream(i, line, out);
-      return;
-    }
-  }
-
-  // New stream: replace the first free slot, else the LRU slot.
-  uint32_t victim = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (heads_[i] == kNoStream) {
-      victim = i;
-      break;
-    }
-    if (stamps_[i] < stamps_[victim]) victim = i;
-  }
-  heads_[victim] = line;
-  next_prefetch_[victim] = line + 1;
-  run_length_[victim] = 1;
-  stamps_[victim] = ++stamp_counter_;
-}
-
 void StreamPrefetcher::Reset() {
   std::fill(heads_.begin(), heads_.end(), kNoStream);
   std::fill(stamps_.begin(), stamps_.end(), 0);

@@ -34,9 +34,7 @@ struct PrefetcherConfig {
 /// head run, SIMD-dispatched like the cache's way search, and LRU victim
 /// selection is a MinStampWay over the parallel stamp array. Stamps, next-
 /// prefetch pointers, and run lengths sit in their own arrays, touched only
-/// for the single stream an access resolves to. The seed-era behaviour
-/// (separate scalar scans over per-stream structs) is retained behind
-/// set_reference_mode for the self-benchmark baseline.
+/// for the single stream an access resolves to.
 class StreamPrefetcher {
  public:
   /// Sentinel head marking a free stream slot. Line addresses are byte
@@ -54,14 +52,11 @@ class StreamPrefetcher {
   /// Heads are unique among live streams (a stream only adopts a head after
   /// a full scan found no other stream holding it), so each probe's first
   /// match is the only match, and probe order — head re-access, then
-  /// extension, then new-stream allocation — reproduces the priority of the
-  /// seed's single struct walk exactly.
+  /// extension, then new-stream allocation — reproduces the priority of a
+  /// single walk over the streams exactly (the scalar prefetcher of
+  /// tests/model_hierarchy.h).
   void OnDemandAccess(uint64_t line, std::vector<uint64_t>* out) {
     if (!config_.enabled) return;
-    if (reference_mode_) {
-      OnDemandAccessReference(line, out);
-      return;
-    }
     const uint32_t n = config_.num_streams;
     const int head = way_scan::FindWay(heads_.data(), n, line, simd_);
     if (head >= 0) {
@@ -78,7 +73,7 @@ class StreamPrefetcher {
     }
     // New stream: claim the first free slot, else evict the LRU stream. No
     // free slot means every slot is live, so the unguarded stamp minimum is
-    // the minimum over live streams; first occurrence matches the seed's
+    // the minimum over live streams; first occurrence is the lowest-index
     // tie-break (stamps are unique while live, but Reset leaves equal
     // zeros).
     const int free_slot = way_scan::FindWay(heads_.data(), n, kNoStream,
@@ -136,20 +131,12 @@ class StreamPrefetcher {
   /// Drops all tracked streams (e.g. between experiment runs).
   void Reset();
 
-  /// Switches to the seed-era reference implementation (separate scans for
-  /// head re-access, stream extension, and victim selection). Emits the
-  /// same prefetches; only the host-side cost differs. Used by the
-  /// self-benchmark baseline.
-  void set_reference_mode(bool on) { reference_mode_ = on; }
-
   /// SIMD dispatch level for the head probes; the hierarchy sets it
   /// alongside the caches' level (HierarchyConfig::simd / CATDB_NO_SIMD
   /// semantics). A host-cost knob, never a semantics knob.
   void set_simd_level(SimdLevel level) { simd_ = level; }
 
  private:
-  void OnDemandAccessReference(uint64_t line, std::vector<uint64_t>* out);
-
   // Inline: per-line work of every sequential stream (demand and batched).
   void ExtendStream(uint32_t s, uint64_t line, std::vector<uint64_t>* out) {
     heads_[s] = line;
@@ -176,7 +163,6 @@ class StreamPrefetcher {
   std::vector<uint64_t> next_prefetch_;
   std::vector<uint32_t> run_length_;
   uint64_t stamp_counter_ = 0;
-  bool reference_mode_ = false;
   SimdLevel simd_ = SimdLevel::kScalar;
   // Batched-run cursor state (valid between BeginRun and the end of the
   // run): the cursor stream's slot, the slots of other streams whose frozen

@@ -15,41 +15,8 @@ SetAssocCache::SetAssocCache(CacheGeometry geometry) : geometry_(geometry) {
   way_hint_.assign(geometry_.num_sets, 0);
 }
 
-void SetAssocCache::set_reference_mode(bool on) {
-  if (on == reference_mode_) return;
-  // Only an empty cache may switch layouts; the hierarchy flips the mode
-  // right after construction, before any access.
-  CATDB_CHECK(valid_count_ == 0);
-  reference_mode_ = on;
-  const size_t n = SetBaseIndex(geometry_, geometry_.num_sets);
-  if (on) {
-    // Free the SoA arrays; reference mode runs entirely on the AoS copy.
-    tags_ = std::vector<uint64_t>();
-    lru_stamps_ = std::vector<uint64_t>();
-    presence_ = std::vector<uint32_t>();
-    owners_ = std::vector<uint16_t>();
-    ref_ways_.assign(n, Way{});
-  } else {
-    ref_ways_ = std::vector<Way>();
-    tags_.assign(n, kInvalidTag);
-    lru_stamps_.assign(n, 0);
-    presence_.assign(n, 0);
-    owners_.assign(n, 0);
-  }
-}
-
 bool SetAssocCache::Lookup(uint64_t line) {
   const uint32_t set = geometry_.SetOf(line);
-  if (reference_mode_) {
-    Way* ways = RefSetWays(set);
-    for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-      if (ways[w].valid && ways[w].tag == line) {
-        ways[w].lru_stamp = ++stamp_counter_;
-        return true;
-      }
-    }
-    return false;
-  }
   // Fast path: re-access of the set's most recently touched line resolves
   // with one tag compare instead of a scan over all ways (operators re-read
   // their hot lines constantly). A stale hint is harmless — it fails the
@@ -63,78 +30,12 @@ bool SetAssocCache::Lookup(uint64_t line) {
 }
 
 bool SetAssocCache::Contains(uint64_t line) const {
-  const uint32_t set = geometry_.SetOf(line);
-  if (reference_mode_) {
-    const Way* ways = RefSetWays(set);
-    for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-      if (ways[w].valid && ways[w].tag == line) return true;
-    }
-    return false;
-  }
-  return FindSlot(set, line) >= 0;
-}
-
-std::optional<EvictedLine> SetAssocCache::InsertReference(uint32_t set,
-                                                          uint64_t line,
-                                                          uint64_t alloc_mask,
-                                                          uint16_t owner) {
-  Way* ways = RefSetWays(set);
-  for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-    if (ways[w].valid && ways[w].tag == line) {
-      ways[w].lru_stamp = ++stamp_counter_;
-      return std::nullopt;
-    }
-  }
-  return FillVictimReference(set, line, alloc_mask, owner);
-}
-
-std::optional<EvictedLine> SetAssocCache::FillVictimReference(
-    uint32_t set, uint64_t line, uint64_t alloc_mask, uint16_t owner) {
-  Way* ways = RefSetWays(set);
-  int victim = -1;
-  uint64_t oldest = ~uint64_t{0};
-  for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-    if ((alloc_mask >> w & 1) == 0) continue;
-    if (!ways[w].valid) {
-      victim = static_cast<int>(w);
-      break;
-    }
-    if (ways[w].lru_stamp < oldest) {
-      oldest = ways[w].lru_stamp;
-      victim = static_cast<int>(w);
-    }
-  }
-  CATDB_DCHECK(victim >= 0);
-
-  std::optional<EvictedLine> evicted;
-  if (ways[victim].valid) {
-    evicted = EvictedLine{ways[victim].tag, ways[victim].owner,
-                          ways[victim].presence};
-  } else {
-    valid_count_ += 1;
-  }
-  ways[victim].tag = line;
-  ways[victim].valid = true;
-  ways[victim].owner = owner;
-  ways[victim].presence = 0;
-  ways[victim].lru_stamp = ++stamp_counter_;
-  return evicted;
+  return FindSlot(geometry_.SetOf(line), line) >= 0;
 }
 
 void SetAssocCache::MarkPresent(uint64_t line, uint32_t core) {
   CATDB_DCHECK(core < kMaxPresenceCores);
   const uint32_t set = geometry_.SetOf(line);
-  if (reference_mode_) {
-    Way* ways = RefSetWays(set);
-    for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-      if (ways[w].valid && ways[w].tag == line) {
-        ways[w].presence |= uint32_t{1} << core;
-        return;
-      }
-    }
-    CATDB_DCHECK(false);  // caller guarantees residency
-    return;
-  }
   // The hierarchy calls this right after touching the line (Lookup, Insert),
   // so the hint almost always resolves it with one compare.
   const size_t hint = SetBase(set) + way_hint_[set];
@@ -148,47 +49,16 @@ void SetAssocCache::MarkPresent(uint64_t line, uint32_t core) {
 }
 
 int SetAssocCache::OwnerOf(uint64_t line) const {
-  const uint32_t set = geometry_.SetOf(line);
-  if (reference_mode_) {
-    const Way* ways = RefSetWays(set);
-    for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-      if (ways[w].valid && ways[w].tag == line) return ways[w].owner;
-    }
-    return -1;
-  }
-  const int64_t slot = FindSlot(set, line);
+  const int64_t slot = FindSlot(geometry_.SetOf(line), line);
   return slot < 0 ? -1 : owners_[static_cast<size_t>(slot)];
 }
 
-bool SetAssocCache::InvalidateReference(uint64_t line) {
-  Way* ways = RefSetWays(geometry_.SetOf(line));
-  for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-    if (ways[w].valid && ways[w].tag == line) {
-      ways[w].valid = false;
-      CATDB_DCHECK(valid_count_ > 0);
-      valid_count_ -= 1;
-      return true;
-    }
-  }
-  return false;
-}
-
 void SetAssocCache::Clear() {
-  if (reference_mode_) {
-    for (Way& w : ref_ways_) w.valid = false;
-  } else {
-    for (uint64_t& t : tags_) t = kInvalidTag;
-  }
+  for (uint64_t& t : tags_) t = kInvalidTag;
   valid_count_ = 0;
 }
 
 void SetAssocCache::CollectValidLines(std::vector<uint64_t>* out) const {
-  if (reference_mode_) {
-    for (const Way& w : ref_ways_) {
-      if (w.valid) out->push_back(w.tag);
-    }
-    return;
-  }
   for (const uint64_t t : tags_) {
     if (t != kInvalidTag) out->push_back(t);
   }
@@ -196,13 +66,6 @@ void SetAssocCache::CollectValidLines(std::vector<uint64_t>* out) const {
 
 int SetAssocCache::WayOf(uint64_t line) const {
   const uint32_t set = geometry_.SetOf(line);
-  if (reference_mode_) {
-    const Way* ways = RefSetWays(set);
-    for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-      if (ways[w].valid && ways[w].tag == line) return static_cast<int>(w);
-    }
-    return -1;
-  }
   const int64_t slot = FindSlot(set, line);
   return slot < 0 ? -1
                   : static_cast<int>(static_cast<size_t>(slot) - SetBase(set));

@@ -31,20 +31,19 @@ struct EvictedLine {
 /// still *read* lines another core placed anywhere in the cache, it just
 /// cannot displace lines outside its two ways.
 ///
-/// Storage layout (fast mode) is struct-of-arrays: the per-set run of `tags`
-/// (with kInvalidTag marking empty ways) is the only data a lookup scan
-/// touches, so a 20-way LLC set occupies 160 B of tags — two or three cache
-/// lines — instead of the 640 B the seed's array-of-Way-structs spread a
-/// scan over, and the way search is a branch-free tag-compare loop.
-/// `lru_stamps` ride in a parallel hot array (read by victim selection,
-/// written on promotion); `presence`/`owners` are cold and only touched on
-/// fills, evictions and monitoring. The seed-era AoS layout is retained
-/// verbatim behind `set_reference_mode` for the self-benchmark baseline.
+/// Storage layout is struct-of-arrays: the per-set run of `tags` (with
+/// kInvalidTag marking empty ways) is the only data a lookup scan touches,
+/// so a 20-way LLC set occupies 160 B of tags — two or three cache lines —
+/// instead of the 640 B an array of per-way structs spreads a scan over, and
+/// the way search is a branch-free tag-compare loop. `lru_stamps` ride in a
+/// parallel hot array (read by victim selection, written on promotion);
+/// `presence`/`owners` are cold and only touched on fills, evictions and
+/// monitoring.
 class SetAssocCache {
  public:
-  /// Tag stored in an empty way (fast layout). Real line addresses are byte
-  /// addresses >> 6 and can never reach the all-ones pattern; Insert DCHECKs
-  /// this, so a scan needs no separate valid bit.
+  /// Tag stored in an empty way. Real line addresses are byte addresses >> 6
+  /// and can never reach the all-ones pattern; Insert DCHECKs this, so a
+  /// scan needs no separate valid bit.
   static constexpr uint64_t kInvalidTag = ~uint64_t{0};
 
   /// Width of the presence masks (EvictedLine::presence and the per-way
@@ -65,18 +64,16 @@ class SetAssocCache {
   bool Lookup(uint64_t line);
 
   /// Lookup for the hierarchy's batched run loop: identical state evolution
-  /// to Lookup() in fast mode, but the one-compare way-hint check inlines
-  /// into the caller and only the full set scan stays out of line. Must not
-  /// be called in reference mode (the run loop never is).
+  /// to Lookup(), but the one-compare way-hint check inlines into the caller
+  /// and only the full set scan stays out of line.
   bool LookupHinted(uint64_t line) { return LookupSlotHinted(line) >= 0; }
 
   /// LookupHinted that reports *where* the line sits: the returned slot
   /// indexes this cache's SoA arrays (set base + way, see SetBaseIndex) and
   /// stays valid until the set next mutates, so the run loop can follow a
   /// hit with MarkPresentAt instead of paying MarkPresent's re-probe.
-  /// Returns -1 on miss. Fast mode only.
+  /// Returns -1 on miss.
   int64_t LookupSlotHinted(uint64_t line) {
-    CATDB_DCHECK(!reference_mode_);
     const uint32_t set = geometry_.SetOf(line);
     const size_t hint = SetBase(set) + way_hint_[set];
     if (tags_[hint] == line) {
@@ -93,11 +90,10 @@ class SetAssocCache {
   /// mask (first empty way, else the LRU way, ties to the lowest index), so
   /// a later fill on the same miss needs no second set scan. The victim
   /// slot is valid only until this cache next mutates; pair with FillAt.
-  /// Fast mode only. Defined inline: this is the per-line demand probe of
-  /// the batched run loop, and a cross-TU call per line costs more than the
-  /// scan itself on small private caches.
+  /// Defined inline: this is the per-line demand probe of the batched run
+  /// loop, and a cross-TU call per line costs more than the scan itself on
+  /// small private caches.
   bool LookupOrVictim(uint64_t line, size_t* victim_slot) {
-    CATDB_DCHECK(!reference_mode_);
     const uint32_t set = geometry_.SetOf(line);
     const size_t base = SetBase(set);
     const size_t hint = base + way_hint_[set];
@@ -158,11 +154,10 @@ class SetAssocCache {
   /// Fills `line` into a victim slot previously returned by LookupOrVictim
   /// with no intervening mutation of this cache: victim selection is
   /// already done, so this is FillVictim's fill tail alone (same eviction
-  /// record, stamp assignment and hint update). Fast mode only. Inline for
-  /// the same reason as LookupOrVictim.
+  /// record, stamp assignment and hint update). Inline for the same reason
+  /// as LookupOrVictim.
   std::optional<EvictedLine> FillAt(size_t slot, uint64_t line,
                                     uint16_t owner = 0) {
-    CATDB_DCHECK(!reference_mode_);
     CATDB_DCHECK(slot < tags_.size());
     CATDB_DCHECK(line != kInvalidTag);
     const uint32_t set = geometry_.SetOf(line);
@@ -191,9 +186,8 @@ class SetAssocCache {
     return FindSlotHinted(line) >= 0;
   }
 
-  /// Slot-returning Contains (no promotion). Fast mode only.
+  /// Slot-returning Contains (no promotion).
   int64_t FindSlotHinted(uint64_t line) const {
-    CATDB_DCHECK(!reference_mode_);
     const uint32_t set = geometry_.SetOf(line);
     const size_t hint = SetBase(set) + way_hint_[set];
     if (tags_[hint] == line) return static_cast<int64_t>(hint);
@@ -209,8 +203,7 @@ class SetAssocCache {
   /// `alloc_mask` must have at least one bit among the cache's ways; callers
   /// (the hierarchy) guarantee this via CAT mask validation.
   /// Defined inline (with the rest of the fill family below): inserts run
-  /// once per simulated fill in *both* self-benchmark legs, so a cross-TU
-  /// call here is a common cost every leg pays.
+  /// once per simulated fill.
   std::optional<EvictedLine> Insert(uint64_t line, uint64_t alloc_mask,
                                     uint16_t owner = 0) {
     alloc_mask &= FullMask();
@@ -219,8 +212,6 @@ class SetAssocCache {
 
     // Already present (in any way): just promote. CAT restricts allocation,
     // not residency. The original filler keeps monitoring ownership.
-    if (reference_mode_) return InsertReference(set, line, alloc_mask, owner);
-
     CATDB_DCHECK(line != kInvalidTag);
     if (LookupSlotHinted(line) >= 0) return std::nullopt;
     return FillVictim(set, line, alloc_mask, owner, nullptr);
@@ -234,11 +225,9 @@ class SetAssocCache {
   /// Insert for callers that have just established the line is absent (a
   /// failed Lookup/Contains on this cache with no intervening insert): skips
   /// the already-present scan and goes straight to victim selection. Picks
-  /// the same victim as Insert. In reference mode this falls back to the
-  /// full Insert so the baseline keeps the unoptimized cost profile.
+  /// the same victim as Insert.
   std::optional<EvictedLine> InsertNew(uint64_t line, uint64_t alloc_mask,
                                        uint16_t owner = 0) {
-    if (reference_mode_) return Insert(line, alloc_mask, owner);
     CATDB_DCHECK(!Contains(line));
     alloc_mask &= FullMask();
     CATDB_DCHECK(alloc_mask != 0);
@@ -251,10 +240,9 @@ class SetAssocCache {
   }
 
   /// InsertNew that also reports the slot the line was filled into, so the
-  /// run loop can mark presence without re-probing. Fast mode only.
+  /// run loop can mark presence without re-probing.
   std::optional<EvictedLine> InsertNewAt(uint64_t line, uint64_t alloc_mask,
                                          uint16_t owner, size_t* slot_out) {
-    CATDB_DCHECK(!reference_mode_);
     CATDB_DCHECK(!Contains(line));
     alloc_mask &= FullMask();
     CATDB_DCHECK(alloc_mask != 0);
@@ -284,22 +272,14 @@ class SetAssocCache {
 
   /// MarkPresent through a slot previously returned by LookupSlotHinted /
   /// FindSlotHinted / InsertNewAt with no intervening mutation of this
-  /// cache: a single store, no probe. Fast mode only.
+  /// cache: a single store, no probe.
   void MarkPresentAt(size_t slot, uint32_t core) {
     CATDB_DCHECK(slot < tags_.size() && tags_[slot] != kInvalidTag);
     CATDB_DCHECK(core < kMaxPresenceCores);
     presence_[slot] |= uint32_t{1} << core;
   }
 
-  /// Switches this cache to the seed-era reference implementation: the
-  /// original array-of-Way-structs layout, no way hint, full scans.
-  /// Simulated results are identical either way; only the host-side cost
-  /// differs. Used by the self-benchmark baseline. Only an empty cache may
-  /// switch (the hierarchy configures the mode right after construction).
-  void set_reference_mode(bool on);
-
-  /// Selects the SIMD dispatch level for way search (fast layout only; the
-  /// reference AoS layout is always scalar). Constructed at
+  /// Selects the SIMD dispatch level for way search. Constructed at
   /// DefaultSimdLevel(), i.e. the best the host supports unless CATDB_NO_SIMD
   /// demotes the process to scalar; the hierarchy overrides it per machine
   /// so differential regimes can pit SIMD-on against SIMD-off in one
@@ -313,9 +293,8 @@ class SetAssocCache {
 
   /// Removes the line if present. Returns true if it was present. Inline:
   /// inclusive back-invalidation calls this per present core on every LLC
-  /// eviction, identically in every self-benchmark leg.
+  /// eviction.
   bool Invalidate(uint64_t line) {
-    if (reference_mode_) return InvalidateReference(line);
     const int64_t slot = FindSlot(geometry_.SetOf(line), line);
     if (slot < 0) return false;
     // Stamp/presence/owner go stale in the emptied slot; FillVictim resets
@@ -345,26 +324,17 @@ class SetAssocCache {
   int WayOf(uint64_t line) const;
 
   /// First index of `set`'s ways in the SoA arrays, computed in size_t so
-  /// geometries with num_sets * num_ways > 2^32 index correctly. The
-  /// seed-era AoS SetWays multiplied `set * num_ways` in 32-bit arithmetic
-  /// and wrapped for such geometries; exposed so the regression test can pin
-  /// the arithmetic without allocating a >4-billion-way cache.
+  /// geometries with num_sets * num_ways > 2^32 index correctly (32-bit
+  /// `set * num_ways` arithmetic wraps for such geometries); exposed so the
+  /// regression test can pin the arithmetic without allocating a
+  /// >4-billion-way cache.
   static size_t SetBaseIndex(const CacheGeometry& g, uint32_t set) {
     return static_cast<size_t>(set) * g.num_ways;
   }
 
  private:
-  /// Seed-era per-way record, kept for reference mode only.
-  struct Way {
-    uint64_t tag = 0;
-    uint64_t lru_stamp = 0;
-    uint32_t presence = 0;
-    uint16_t owner = 0;
-    bool valid = false;
-  };
-
-  // Victim selection + fill for a line known to be absent from `set` (fast
-  // layout). Reports the filled slot through `slot_out` when non-null.
+  // Victim selection + fill for a line known to be absent from `set`.
+  // Reports the filled slot through `slot_out` when non-null.
   std::optional<EvictedLine> FillVictim(uint32_t set, uint64_t line,
                                         uint64_t alloc_mask, uint16_t owner,
                                         size_t* slot_out) {
@@ -372,12 +342,11 @@ class SetAssocCache {
     // Victim selection walks only the ways set in the allocation mask
     // (ascending, matching LRU tie-breaking by lowest way index) and stops
     // early at the first empty way; only the hot tag/stamp arrays are read.
-    // The reference implementation walks all ways and tests the mask per
-    // way; both pick the same victim. The full-mask case (every private
-    // cache, plus unrestricted LLC fills) takes the vectorized decomposition
-    // — first empty way, else first occurrence of the lowest stamp — which
-    // selects the identical victim; partial CAT masks keep the scalar
-    // bit-walk, whose mask gather SIMD cannot beat at <= 20 ways.
+    // The full-mask case (every private cache, plus unrestricted LLC fills)
+    // takes the vectorized decomposition — first empty way, else first
+    // occurrence of the lowest stamp — which selects the identical victim;
+    // partial CAT masks keep the scalar bit-walk, whose mask gather SIMD
+    // cannot beat at <= 20 ways.
     int victim = -1;
     if (simd_ != SimdLevel::kScalar && alloc_mask == FullMask()) {
       const uint32_t n = geometry_.num_ways;
@@ -417,17 +386,6 @@ class SetAssocCache {
     if (slot_out != nullptr) *slot_out = slot;
     return evicted;
   }
-  // Reference-mode (AoS) tails of Insert/Invalidate, out of line so the
-  // inline fast paths stay small.
-  std::optional<EvictedLine> InsertReference(uint32_t set, uint64_t line,
-                                             uint64_t alloc_mask,
-                                             uint16_t owner);
-  bool InvalidateReference(uint64_t line);
-  // Seed-era victim selection over the AoS layout.
-  std::optional<EvictedLine> FillVictimReference(uint32_t set, uint64_t line,
-                                                 uint64_t alloc_mask,
-                                                 uint16_t owner);
-
   // Full-set scan half of LookupSlotHinted (hint already missed). Promotes
   // and re-aims the hint on hit; returns the slot or -1.
   int64_t LookupScan(uint32_t set, uint64_t line) {
@@ -455,13 +413,8 @@ class SetAssocCache {
 
   size_t SetBase(uint32_t set) const { return SetBaseIndex(geometry_, set); }
 
-  Way* RefSetWays(uint32_t set) { return &ref_ways_[SetBase(set)]; }
-  const Way* RefSetWays(uint32_t set) const {
-    return &ref_ways_[SetBase(set)];
-  }
-
   CacheGeometry geometry_;
-  // Fast SoA layout. Ways of set s occupy indices [SetBase(s),
+  // SoA layout. Ways of set s occupy indices [SetBase(s),
   // SetBase(s) + num_ways) of each array. tags_/lru_stamps_ are the hot
   // scan/victim data; presence_/owners_ are cold fill/monitoring data.
   std::vector<uint64_t> tags_;
@@ -475,11 +428,8 @@ class SetAssocCache {
   // associativity at 64 ways; the constructor CHECKs the bound so a future
   // geometry widening cannot silently truncate hints into wrong-way reads.
   std::vector<uint8_t> way_hint_;
-  // Reference (seed-era) AoS storage; allocated only in reference mode.
-  std::vector<Way> ref_ways_;
   uint64_t stamp_counter_ = 0;
   uint64_t valid_count_ = 0;
-  bool reference_mode_ = false;
   // Way-search dispatch level; see set_simd_level.
   SimdLevel simd_ = DefaultSimdLevel();
 };

@@ -215,11 +215,11 @@ int MinStampWayAvx2(const uint64_t* stamps, uint32_t n);  // requires n >= 4
 /// Measured, not derived (EXPERIMENTS.md, "SIMD dispatch policy"): on the
 /// reference host the early-exit scalar loops won an interleaved A/B at
 /// *every* configured scan width — the 8-way L1/L2 sets, the 16-slot
-/// prefetcher stream table, and the 20-way LLC. The 64-bit compare has no
-/// native SSE2/AVX2 form, so each vector step pays a 32-bit-lane fold
-/// (compare + shuffle + and + movemask) whose latency exceeds the handful
-/// of predictable scalar compares it replaces, and the out-of-line AVX2
-/// call adds call/vzeroupper overhead on top. 64 is the allocation-mask
+/// prefetcher stream table, and the 20-way LLC. SSE2 has no 64-bit
+/// compare, so each SSE2 step pays a 32-bit-lane fold (compare + shuffle +
+/// and + movemask) whose latency exceeds the handful of predictable scalar
+/// compares it replaces; AVX2 compares 64-bit lanes natively, but its
+/// out-of-line call adds call/vzeroupper overhead. 64 is the allocation-mask
 /// width — no configurable geometry reaches it, so both vector tiers are
 /// measured off. The kernels stay compiled, runtime-selectable, and pinned
 /// by tests/soa_cache_test.cc plus the nosimd fuzz regime: a host where

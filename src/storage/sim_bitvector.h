@@ -1,7 +1,7 @@
 #ifndef CATDB_STORAGE_SIM_BITVECTOR_H_
 #define CATDB_STORAGE_SIM_BITVECTOR_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,15 +23,10 @@ class SimBitVector {
   uint64_t num_bits() const { return num_bits_; }
   uint64_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
 
-  /// Host-side bit operations. Set is an atomic OR: build jobs recorded
-  /// concurrently on parallel simulation lanes may set bits in the same
-  /// word, and OR is commutative so the final vector — the only state the
-  /// later (phase-barrier-separated) probe phase reads — is schedule-
-  /// independent.
+  /// Host-side bit operations.
   void Set(uint64_t i) {
     CATDB_DCHECK(i < num_bits_);
-    std::atomic_ref<uint64_t>(words_[i >> 6])
-        .fetch_or(uint64_t{1} << (i & 63), std::memory_order_relaxed);
+    words_[i >> 6] |= uint64_t{1} << (i & 63);
   }
   bool Test(uint64_t i) const {
     CATDB_DCHECK(i < num_bits_);

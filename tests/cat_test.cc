@@ -18,10 +18,17 @@ TEST(CatControllerTest, DefaultsToFullMaskClosZero) {
 }
 
 // Property sweep over mask validation, mirroring the Intel CAT rules.
+//
+// gtest prints a MaskCase as its raw bytes, and those bytes become part of
+// each case's ctest name. `id` fills the bytes after `valid` that would
+// otherwise be uninitialised padding, so the names are the same on every
+// build. The id values are arbitrary but fixed.
 struct MaskCase {
   uint64_t mask;
   bool valid;
+  uint8_t id[7];
 };
+static_assert(sizeof(MaskCase) == 16, "MaskCase has no padding left");
 
 class MaskValidationTest : public ::testing::TestWithParam<MaskCase> {};
 
@@ -32,17 +39,20 @@ TEST_P(MaskValidationTest, ValidatesPerHardwareRules) {
 
 INSTANTIATE_TEST_SUITE_P(
     Masks, MaskValidationTest,
-    ::testing::Values(MaskCase{0x1, true},        // single low way
-                      MaskCase{0x3, true},        // the paper's 10 % mask
-                      MaskCase{0xFFF, true},      // the paper's 60 % mask
-                      MaskCase{0xFFFFF, true},    // full
-                      MaskCase{0xC, true},        // contiguous, shifted
-                      MaskCase{0xF0000, true},    // top ways
-                      MaskCase{0x0, false},       // empty
-                      MaskCase{0x5, false},       // non-contiguous
-                      MaskCase{0xF0F, false},     // non-contiguous
-                      MaskCase{0x100001, false},  // beyond 20 ways
-                      MaskCase{~0ull, false}));
+    ::testing::Values(
+        MaskCase{0x1, true, {}},                // single low way
+        MaskCase{0x3, true, {0xFF, 0x85}},      // the paper's 10 % mask
+        MaskCase{0xFFF, true, {0x23, 0xC7}},    // the paper's 60 % mask
+        MaskCase{0xFFFFF, true,                 // full
+                 {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
+        MaskCase{0xC, true, {0x84, 0xD1}},      // contiguous, shifted
+        MaskCase{0xF0000, true, {0x5E, 0xD4}},  // top ways
+        MaskCase{0x0, false, {0xFF, 0x91}},     // empty
+        MaskCase{0x5, false, {0x23, 0xC7}},     // non-contiguous
+        MaskCase{0xF0F, false, {0x23, 0xC7}},   // non-contiguous
+        MaskCase{0x100001, false,               // beyond 20 ways
+                 {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
+        MaskCase{~0ull, false, {0x84, 0xD1}}));
 
 TEST(CatControllerTest, SetAndGetClosMask) {
   CatController cat(20, 8);

@@ -103,11 +103,19 @@ TEST(ThreadPoolTest, DefaultJobsHonorsEnvOverride) {
   harness::ThreadPool pool;  // num_threads == 0 -> DefaultJobs()
   EXPECT_EQ(pool.num_threads(), 3u);
 
-  ASSERT_EQ(setenv("CATDB_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(harness::ThreadPool::DefaultJobs(), 1u);  // falls back to host
-
   ASSERT_EQ(unsetenv("CATDB_JOBS"), 0);
-  EXPECT_GE(harness::ThreadPool::DefaultJobs(), 1u);
+  const unsigned host = harness::ThreadPool::DefaultJobs();
+  EXPECT_GE(host, 1u);
+
+  // Malformed and out-of-range values fall back to the host count: strtol
+  // saturates the first out-of-range value at LONG_MAX, and the second
+  // would wrap to 1 in a cast to unsigned.
+  for (const char* bad :
+       {"not-a-number", "99999999999999999999", "4294967297"}) {
+    ASSERT_EQ(setenv("CATDB_JOBS", bad, 1), 0);
+    EXPECT_EQ(harness::ThreadPool::DefaultJobs(), host) << bad;
+  }
+  ASSERT_EQ(unsetenv("CATDB_JOBS"), 0);
 }
 
 // --- SweepRunner ---------------------------------------------------------
@@ -123,6 +131,30 @@ TEST(SweepRunnerTest, CellFailurePropagatesFromRun) {
     throw std::runtime_error("bad cell");
   });
   EXPECT_THROW(runner.Run(), std::runtime_error);
+}
+
+// A job count far past the cell count runs with one worker per cell (no
+// pool of 2^30 threads) and reports exactly what a serial sweep reports.
+TEST(SweepRunnerTest, HugeJobCountMatchesSerialReport) {
+  std::string serial;
+  for (unsigned jobs : {1u, 1u << 30}) {
+    harness::SweepRunner::Options options;
+    options.jobs = jobs;
+    harness::SweepRunner runner("harness_test", options);
+    for (int i = 0; i < 3; ++i) {
+      runner.AddCell("cell" + std::to_string(i),
+                     [i](harness::SweepCell& cell) {
+                       cell.report().AddScalar(cell.name(),
+                                               static_cast<double>(i));
+                     });
+    }
+    runner.Run();
+    if (jobs == 1) {
+      serial = runner.report().Json();
+    } else {
+      EXPECT_EQ(runner.report().Json(), serial);
+    }
+  }
 }
 
 TEST(SweepRunnerTest, ShardsMergeInCellIndexOrder) {

@@ -1,8 +1,8 @@
-// Property tests pinning the SoA SetAssocCache against an independent
-// array-of-structs model, plus regression tests for the three hardening
-// fixes that rode along with the SoA refactor: SetBaseIndex 64-bit
-// indexing, the presence-mask core-count bound in Machine::ValidateConfig,
-// and the way_hint_ width CHECK.
+// Property tests pinning the SoA SetAssocCache against the independent
+// array-of-structs model of model_hierarchy.h, plus regression tests for the
+// three hardening fixes that rode along with the SoA refactor: SetBaseIndex
+// 64-bit indexing, the presence-mask core-count bound in
+// Machine::ValidateConfig, and the way_hint_ width CHECK.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "model_hierarchy.h"
 #include "sim/machine.h"
 #include "simcache/cache_geometry.h"
 #include "simcache/set_assoc_cache.h"
@@ -18,112 +19,6 @@
 
 namespace catdb::simcache {
 namespace {
-
-// Self-contained AoS cache model, written straight from the documented
-// replacement contract (true LRU, allocation mask restricts victim
-// selection only, first empty allocatable way wins, stamp ties break to the
-// lowest way index). Deliberately NOT the SetAssocCache reference mode, so
-// the property test cannot inherit a bug shared by both layouts.
-class AosModel {
- public:
-  explicit AosModel(CacheGeometry g) : g_(g), ways_(g.num_sets * g.num_ways) {}
-
-  bool Lookup(uint64_t line) {
-    Way* w = Find(line);
-    if (w == nullptr) return false;
-    w->stamp = ++stamp_;
-    return true;
-  }
-
-  bool Contains(uint64_t line) const {
-    return const_cast<AosModel*>(this)->Find(line) != nullptr;
-  }
-
-  std::optional<EvictedLine> Insert(uint64_t line, uint64_t mask,
-                                    uint16_t owner) {
-    if (Way* w = Find(line)) {
-      w->stamp = ++stamp_;
-      return std::nullopt;
-    }
-    return Fill(line, mask, owner);
-  }
-
-  bool Invalidate(uint64_t line) {
-    Way* w = Find(line);
-    if (w == nullptr) return false;
-    w->valid = false;
-    count_ -= 1;
-    return true;
-  }
-
-  void MarkPresent(uint64_t line, uint32_t core) {
-    Way* w = Find(line);
-    ASSERT_NE(w, nullptr);
-    w->presence |= uint32_t{1} << core;
-  }
-
-  void Clear() {
-    for (Way& w : ways_) w.valid = false;
-    count_ = 0;
-  }
-
-  int OwnerOf(uint64_t line) const {
-    const Way* w = const_cast<AosModel*>(this)->Find(line);
-    return w == nullptr ? -1 : w->owner;
-  }
-
-  uint64_t count() const { return count_; }
-
- private:
-  struct Way {
-    bool valid = false;
-    uint64_t tag = 0;
-    uint64_t stamp = 0;
-    uint16_t owner = 0;
-    uint32_t presence = 0;
-  };
-
-  Way* Find(uint64_t line) {
-    Way* set = &ways_[static_cast<size_t>(g_.SetOf(line)) * g_.num_ways];
-    for (uint32_t w = 0; w < g_.num_ways; ++w) {
-      if (set[w].valid && set[w].tag == line) return &set[w];
-    }
-    return nullptr;
-  }
-
-  std::optional<EvictedLine> Fill(uint64_t line, uint64_t mask,
-                                  uint16_t owner) {
-    Way* set = &ways_[static_cast<size_t>(g_.SetOf(line)) * g_.num_ways];
-    int victim = -1;
-    uint64_t oldest = ~uint64_t{0};
-    for (uint32_t w = 0; w < g_.num_ways; ++w) {
-      if ((mask >> w & 1) == 0) continue;
-      if (!set[w].valid) {
-        victim = static_cast<int>(w);
-        break;
-      }
-      if (set[w].stamp < oldest) {
-        oldest = set[w].stamp;
-        victim = static_cast<int>(w);
-      }
-    }
-    EXPECT_GE(victim, 0);
-    Way& v = set[victim];
-    std::optional<EvictedLine> evicted;
-    if (v.valid) {
-      evicted = EvictedLine{v.tag, v.owner, v.presence};
-    } else {
-      count_ += 1;
-    }
-    v = Way{/*valid=*/true, line, ++stamp_, owner, /*presence=*/0};
-    return evicted;
-  }
-
-  CacheGeometry g_;
-  std::vector<Way> ways_;
-  uint64_t stamp_ = 0;
-  uint64_t count_ = 0;
-};
 
 void ExpectSameEviction(const std::optional<EvictedLine>& a,
                         const std::optional<EvictedLine>& b, uint64_t step) {
@@ -244,11 +139,11 @@ TEST(SoaCachePropertyTest, LookupOrVictimFillAtMatchesLookupInsertNew) {
   }
 }
 
-// Regression test for the seed-era 32-bit overflow in per-set indexing: the
-// AoS layout computed `set * num_ways` in uint32_t, which wraps once
-// num_sets * num_ways exceeds 2^32 and silently aliases distant sets onto
-// the same storage. SetBaseIndex is the (static) arithmetic both layouts
-// now share; pinning it needs no multi-gigabyte allocation.
+// Regression test for a 32-bit overflow in per-set indexing: computing
+// `set * num_ways` in uint32_t wraps once num_sets * num_ways exceeds 2^32
+// and silently aliases distant sets onto the same storage. SetBaseIndex is
+// the (static) arithmetic the cache indexes with; pinning it needs no
+// multi-gigabyte allocation.
 TEST(SetAssocCacheTest, SetBaseIndexSurvives32BitOverflow) {
   // 2^27 sets x 64 ways = 2^33 ways total: the last set's base is
   // 2^33 - 64, representable only in 64-bit arithmetic.
@@ -257,7 +152,7 @@ TEST(SetAssocCacheTest, SetBaseIndexSurvives32BitOverflow) {
   const uint32_t last_set = g.num_sets - 1;
   const size_t base = SetAssocCache::SetBaseIndex(g, last_set);
   EXPECT_EQ(base, (uint64_t{1} << 33) - 64);
-  // The seed's uint32_t arithmetic would have wrapped to a small alias.
+  // uint32_t arithmetic would have wrapped to a small alias.
   EXPECT_NE(base, static_cast<uint32_t>(last_set * g.num_ways));
 }
 

@@ -8,12 +8,11 @@ Checks three files:
      entry must embed a host_cycle_breakdown object with the full component
      set and self-consistent counters;
   3. the parallel-scaling JSON (second positional output): must carry
-     `host_cores` and the top-level `conclusive` flag plus both scaling
-     sections (`sweep_harness` for --jobs, `sim_threads` for the epoch
-     executor), each with its own `conclusive` flag and an explicit
-     `skipped_oversubscribed` annotation. Single-core hosts produce
-     inconclusive scaling data; that is reported as a WARNING, never a
-     silent pass.
+     `host_cores` and the top-level `conclusive` flag plus the
+     `sweep_harness` section (--jobs scaling) with its own `conclusive`
+     flag and an explicit `skipped_oversubscribed` annotation. Single-core
+     hosts produce inconclusive scaling data; that is reported as a
+     WARNING, never a silent pass.
 
 Every `host_cycle_breakdown` must additionally be self-consistent: all
 buckets non-negative, and their sum no larger than the emitted
@@ -48,8 +47,6 @@ BREAKDOWN_COMPONENTS = [
     "translate",
     "scalar_access",
     "run_setup",
-    "staging",
-    "barrier_wait",
     "run_other",
 ]
 
@@ -144,17 +141,10 @@ def check_baseline(path, baseline_path, min_ratio):
               f"(gate {min_ratio}x)")
 
 
-def check_scaling_section(path, name, section):
-    """A scaling section must say whether it is conclusive and which points
-    it skipped as oversubscribed — a single-row section with neither flag
-    reads like a measured 1.0x ceiling."""
-    if not isinstance(section, dict):
-        fail(f"{path}: missing `{name}` section")
-    if not isinstance(section.get("conclusive"), bool):
-        fail(f"{path}: {name} missing boolean `conclusive` flag")
-
-
 def check_parallel(path):
+    """The scaling section must say whether it is conclusive and which
+    points it skipped as oversubscribed — a single-row section with neither
+    flag reads like a measured 1.0x ceiling."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc.get("host_cores"), int):
@@ -162,29 +152,20 @@ def check_parallel(path):
     if not isinstance(doc.get("conclusive"), bool):
         fail(f"{path}: missing boolean `conclusive` flag")
     harness = doc.get("sweep_harness")
-    check_scaling_section(path, "sweep_harness", harness)
+    if not isinstance(harness, dict):
+        fail(f"{path}: missing `sweep_harness` section")
+    if not isinstance(harness.get("conclusive"), bool):
+        fail(f"{path}: sweep_harness missing boolean `conclusive` flag")
     if not isinstance(harness.get("skipped_oversubscribed"), list):
         fail(f"{path}: sweep_harness missing `skipped_oversubscribed` list")
     if harness.get("reports_byte_identical") is not True:
         fail(f"{path}: sweep_harness reports not byte-identical")
-    sim = doc.get("sim_threads")
-    check_scaling_section(path, "sim_threads", sim)
-    if sim.get("digests_byte_identical") is not True:
-        fail(f"{path}: sim_threads digests not byte-identical")
-    workloads = sim.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        fail(f"{path}: sim_threads has no workloads")
-    for w in workloads:
-        if not isinstance(w.get("skipped_oversubscribed"), list):
-            fail(f"{path}: sim_threads workload {w.get('name')!r} missing "
-                 "`skipped_oversubscribed` list")
-        if not isinstance(w.get("runs"), list) or not w["runs"]:
-            fail(f"{path}: sim_threads workload {w.get('name')!r} has no runs")
-    for name in ("sweep_harness", "sim_threads"):
-        if not doc[name]["conclusive"]:
-            print(f"WARNING: {path}: `{name}` scaling is inconclusive "
-                  f"(host_cores={doc['host_cores']}; oversubscribed points "
-                  "skipped) — numbers are not a scaling measurement")
+    if not isinstance(harness.get("runs"), list) or not harness["runs"]:
+        fail(f"{path}: sweep_harness has no runs")
+    if not harness["conclusive"]:
+        print(f"WARNING: {path}: `sweep_harness` scaling is inconclusive "
+              f"(host_cores={doc['host_cores']}; oversubscribed points "
+              "skipped) — numbers are not a scaling measurement")
     print(f"ok: {path} host_cores={doc['host_cores']} "
           f"conclusive={doc['conclusive']}")
 
