@@ -12,15 +12,17 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "engine/dynamic_policy.h"
 #include "engine/operators/aggregation.h"
 #include "engine/operators/column_scan.h"
+#include "policy/policy_engine.h"
 #include "workloads/micro.h"
 
 using namespace catdb;
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
+  // --smoke: the same three schemes at the short horizon.
+  const uint64_t horizon = bench::HorizonFor(opts);
   sim::Machine machine{sim::MachineConfig{}};
   bench::ApplyTraceOption(&machine, opts);
   auto scan_data = workloads::MakeScanDataset(
@@ -41,25 +43,21 @@ int main(int argc, char** argv) {
   annotated.enabled = true;
 
   const double iso_agg =
-      engine::RunWorkload(&machine, {{&agg, bench::kCoresA}},
-                          bench::kDefaultHorizon, off)
+      engine::RunWorkload(&machine, {{&agg, bench::kCoresA}}, horizon, off)
           .streams[0]
           .iterations;
   const double iso_scan =
-      engine::RunWorkload(&machine, {{&scan, bench::kCoresB}},
-                          bench::kDefaultHorizon, off)
+      engine::RunWorkload(&machine, {{&scan, bench::kCoresB}}, horizon, off)
           .streams[0]
           .iterations;
 
   const std::vector<engine::StreamSpec> specs = {
       {&agg, bench::kCoresA}, {&scan, bench::kCoresB}};
-  auto shared =
-      engine::RunWorkload(&machine, specs, bench::kDefaultHorizon, off);
-  auto static_part = engine::RunWorkload(&machine, specs,
-                                         bench::kDefaultHorizon, annotated);
-  auto dynamic = engine::RunWorkloadDynamic(&machine, specs,
-                                            bench::kDefaultHorizon,
-                                            engine::DynamicPolicyConfig{});
+  auto shared = engine::RunWorkload(&machine, specs, horizon, off);
+  auto static_part =
+      engine::RunWorkload(&machine, specs, horizon, annotated);
+  auto dynamic = policy::RunWorkloadDynamic(&machine, specs, horizon,
+                                            policy::DynamicPolicyConfig{});
 
   std::printf("Dynamic partitioning vs static annotations (Fig. 9b point)\n");
   bench::PrintRule(64);
@@ -94,7 +92,7 @@ int main(int argc, char** argv) {
       "without any operator annotations.\n");
 
   obs::RunReportWriter report("ext_dynamic_policy");
-  report.AddParam("horizon_cycles", bench::kDefaultHorizon);
+  report.AddParam("horizon_cycles", horizon);
   report.AddScalar("iso_agg_iterations", iso_agg);
   report.AddScalar("iso_scan_iterations", iso_scan);
   report.AddRun("shared", shared);

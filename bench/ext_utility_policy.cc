@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "engine/dynamic_policy.h"
 #include "engine/operators/aggregation.h"
 #include "engine/operators/column_scan.h"
 #include "engine/operators/fk_join.h"
@@ -130,15 +129,15 @@ void RunSchemeCell(harness::SweepCell& cell, size_t mix, size_t scheme,
                                                 off);
     out->a = rep.streams[0].iterations;
     out->b = rep.streams[1].iterations;
-    cell.report().AddRun(key, std::move(rep));
+    cell.report().AddRun(key, rep);
   } else if (scheme == 2) {  // dynamic threshold classifier
-    engine::DynamicRunReport rep = engine::RunWorkloadDynamic(
-        &machine, specs, horizon, engine::DynamicPolicyConfig{});
+    policy::DynamicRunReport rep = policy::RunWorkloadDynamic(
+        &machine, specs, horizon, policy::DynamicPolicyConfig{});
     out->a = rep.report.streams[0].iterations;
     out->b = rep.report.streams[1].iterations;
     out->intervals = rep.intervals;
     out->schemata_writes = rep.schemata_writes;
-    cell.report().AddDynamicRun(key, std::move(rep));
+    cell.report().AddDynamicRun(key, rep);
   } else {  // allocator-driven schemes through the policy engine
     std::unique_ptr<policy::WayAllocator> allocator;
     if (scheme == 1) {
@@ -159,7 +158,7 @@ void RunSchemeCell(harness::SweepCell& cell, size_t mix, size_t scheme,
     out->intervals = rep.intervals;
     out->schemata_writes = rep.schemata_writes;
     out->final_masks = rep.final_masks;
-    cell.report().AddPolicyRun(key, std::move(rep));
+    cell.report().AddPolicyRun(key, rep);
   }
   cell.report().AddScalar(key + "/norm_a", out->a / out->iso_a);
   cell.report().AddScalar(key + "/norm_b", out->b / out->iso_b);

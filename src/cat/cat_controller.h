@@ -12,6 +12,9 @@ namespace catdb::cat {
 /// always exists with a full-cache mask.
 using ClosId = uint32_t;
 
+/// Classes of service of the paper's Xeon, and of every simulated machine.
+inline constexpr uint32_t kDefaultMaxClos = 16;
+
 /// Software model of Intel Cache Allocation Technology for the simulated
 /// processor.
 ///
@@ -26,7 +29,7 @@ class CatController {
  public:
   /// `num_ways` is the LLC associativity (bitmask width).
   CatController(uint32_t num_ways, uint32_t num_cores,
-                uint32_t max_clos = 16);
+                uint32_t max_clos = kDefaultMaxClos);
 
   uint32_t num_ways() const { return num_ways_; }
   uint32_t num_cores() const {

@@ -15,7 +15,7 @@ namespace catdb::obs {
 /// occupies the channel for `dram_transfer_cycles`. The denominator scales
 /// with the *actual* interval length — a final interval cut short by the
 /// horizon must not divide by a full interval's capacity (that underestimate
-/// let polluters finish unrestricted; see dynamic_policy.cc).
+/// let polluters finish unrestricted; see policy_engine.cc).
 double ChannelBandwidthShare(uint64_t mbm_delta, uint64_t interval_cycles,
                              uint64_t dram_transfer_cycles);
 

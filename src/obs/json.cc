@@ -1,6 +1,5 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -166,175 +165,6 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
-}
-
-namespace {
-
-// Recursive-descent JSON syntax checker (no DOM, no allocations beyond the
-// call stack). `p` advances past the parsed value; returns false on error.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool Check() {
-    SkipWs();
-    if (!Value(0)) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* lit) {
-    const size_t n = std::char_traits<char>::length(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool String() {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= s_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(s_[pos_]))) {
-              return false;
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-        ++pos_;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;
-      } else {
-        ++pos_;
-      }
-    }
-    return false;
-  }
-
-  bool Number() {
-    const size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_])))
-      return false;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[pos_])))
-        return false;
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_])))
-        ++pos_;
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      if (pos_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[pos_])))
-        return false;
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_])))
-        ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Value(int depth) {
-    if (depth > kMaxDepth || pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') {
-      ++pos_;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      for (;;) {
-        SkipWs();
-        if (!String()) return false;
-        SkipWs();
-        if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-        ++pos_;
-        SkipWs();
-        if (!Value(depth + 1)) return false;
-        SkipWs();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      for (;;) {
-        SkipWs();
-        if (!Value(depth + 1)) return false;
-        SkipWs();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') return String();
-    if (c == 't') return Literal("true");
-    if (c == 'f') return Literal("false");
-    if (c == 'n') return Literal("null");
-    return Number();
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool JsonSyntaxValid(const std::string& text) {
-  return JsonChecker(text).Check();
 }
 
 Status WriteTextFile(const std::string& path, const std::string& content) {

@@ -65,11 +65,6 @@ class JsonWriter {
 /// Escapes a string per JSON rules (quotes not included).
 std::string JsonEscape(const std::string& s);
 
-/// Lightweight recursive-descent syntax check: returns true iff `text` is a
-/// single well-formed JSON value. Used by tests to validate generated
-/// reports/traces without a parsing library.
-bool JsonSyntaxValid(const std::string& text);
-
 /// Writes `content` to `path` (truncating). Used for report/trace export.
 Status WriteTextFile(const std::string& path, const std::string& content);
 

@@ -95,7 +95,7 @@ void AppendIntervalSample(JsonWriter& w, const IntervalSample& sample) {
 }
 
 void AppendDynamicRunReport(JsonWriter& w,
-                            const engine::DynamicRunReport& report) {
+                            const policy::DynamicRunReport& report) {
   w.BeginObject();
   w.KV("intervals", static_cast<uint64_t>(report.intervals));
   w.KV("schemata_writes", report.schemata_writes);
@@ -229,76 +229,96 @@ void AppendRoundsReport(JsonWriter& w, const engine::RoundsReport& report) {
   w.EndObject();
 }
 
+namespace {
+
+void AppendScenarioSummary(JsonWriter& w, const ScenarioSummary& s) {
+  w.BeginObject();
+  w.KV("scenario", s.scenario);
+  w.KV("sweep_kind", s.sweep_kind);
+  w.KV("datasets", s.num_datasets);
+  w.KV("plans", s.num_plans);
+  w.KV("cells", s.num_cells);
+  w.KV("digest", s.digest);
+  w.EndObject();
+}
+
+/// Renders one value with its Append* serializer.
+template <typename T>
+std::string Render(void (*append)(JsonWriter&, const T&), const T& value) {
+  JsonWriter w;
+  append(w, value);
+  return w.str();
+}
+
+/// Renders one scalar JSON value.
+template <typename T>
+std::string RenderValue(const T& value) {
+  JsonWriter w;
+  w.Value(value);
+  return w.str();
+}
+
+}  // namespace
+
 RunReportWriter::RunReportWriter(std::string benchmark)
     : benchmark_(std::move(benchmark)) {}
 
 void RunReportWriter::AddParam(const std::string& key,
                                const std::string& value) {
-  params_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  params_.emplace_back(key, RenderValue(value));
 }
 
 void RunReportWriter::AddParam(const std::string& key, uint64_t value) {
-  JsonWriter w;
-  w.Value(value);
-  params_.emplace_back(key, w.str());
+  params_.emplace_back(key, RenderValue(value));
 }
 
 void RunReportWriter::AddParam(const std::string& key, double value) {
-  JsonWriter w;
-  w.Value(value);
-  params_.emplace_back(key, w.str());
+  params_.emplace_back(key, RenderValue(value));
 }
 
-void RunReportWriter::AddRun(std::string name, engine::RunReport report) {
-  Entry e;
-  e.kind = Kind::kRun;
-  e.name = std::move(name);
-  e.run = std::move(report);
-  entries_.push_back(std::move(e));
+void RunReportWriter::AddEntry(std::string name, const char* kind,
+                               const char* payload_key, std::string payload) {
+  entries_.push_back(
+      Entry{std::move(name), kind, payload_key, std::move(payload)});
+}
+
+void RunReportWriter::AddRun(std::string name,
+                             const engine::RunReport& report) {
+  AddEntry(std::move(name), "run", "run", Render(AppendRunReport, report));
 }
 
 void RunReportWriter::AddDynamicRun(std::string name,
-                                    engine::DynamicRunReport report) {
-  Entry e;
-  e.kind = Kind::kDynamic;
-  e.name = std::move(name);
-  e.dynamic = std::move(report);
-  entries_.push_back(std::move(e));
+                                    const policy::DynamicRunReport& report) {
+  AddEntry(std::move(name), "dynamic", "dynamic",
+           Render(AppendDynamicRunReport, report));
 }
 
 void RunReportWriter::AddRounds(std::string name,
-                                engine::RoundsReport report) {
-  Entry e;
-  e.kind = Kind::kRounds;
-  e.name = std::move(name);
-  e.rounds = std::move(report);
-  entries_.push_back(std::move(e));
+                                const engine::RoundsReport& report) {
+  AddEntry(std::move(name), "rounds", "rounds",
+           Render(AppendRoundsReport, report));
 }
 
 void RunReportWriter::AddPolicyRun(std::string name,
-                                   policy::PolicyRunReport report) {
-  Entry e;
-  e.kind = Kind::kPolicy;
-  e.name = std::move(name);
-  e.policy = std::move(report);
-  entries_.push_back(std::move(e));
+                                   const policy::PolicyRunReport& report) {
+  AddEntry(std::move(name), "policy", "policy",
+           Render(AppendPolicyRunReport, report));
 }
 
 void RunReportWriter::AddServingRun(std::string name,
-                                    serve::ServingRunReport report) {
-  Entry e;
-  e.kind = Kind::kServing;
-  e.name = std::move(name);
-  e.serving = std::move(report);
-  entries_.push_back(std::move(e));
+                                    const serve::ServingRunReport& report) {
+  AddEntry(std::move(name), "serving", "serving",
+           Render(AppendServingReport, report));
 }
 
-void RunReportWriter::AddScenario(std::string name, ScenarioSummary summary) {
-  Entry e;
-  e.kind = Kind::kScenario;
-  e.name = std::move(name);
-  e.scenario = std::move(summary);
-  entries_.push_back(std::move(e));
+void RunReportWriter::AddScenario(std::string name,
+                                  const ScenarioSummary& summary) {
+  AddEntry(std::move(name), "scenario", "scenario",
+           Render(AppendScenarioSummary, summary));
+}
+
+void RunReportWriter::AddScalar(std::string name, double value) {
+  AddEntry(std::move(name), "scalar", "value", RenderValue(value));
 }
 
 void RunReportWriter::MergeFrom(RunReportWriter&& shard) {
@@ -306,14 +326,6 @@ void RunReportWriter::MergeFrom(RunReportWriter&& shard) {
   for (Entry& entry : shard.entries_) entries_.push_back(std::move(entry));
   shard.params_.clear();
   shard.entries_.clear();
-}
-
-void RunReportWriter::AddScalar(std::string name, double value) {
-  Entry e;
-  e.kind = Kind::kScalar;
-  e.name = std::move(name);
-  e.scalar = value;
-  entries_.push_back(std::move(e));
 }
 
 std::string RunReportWriter::Json() const {
@@ -330,48 +342,8 @@ std::string RunReportWriter::Json() const {
   for (const Entry& e : entries_) {
     w.BeginObject();
     w.KV("name", e.name);
-    switch (e.kind) {
-      case Kind::kRun:
-        w.KV("kind", "run");
-        w.Key("run");
-        AppendRunReport(w, e.run);
-        break;
-      case Kind::kDynamic:
-        w.KV("kind", "dynamic");
-        w.Key("dynamic");
-        AppendDynamicRunReport(w, e.dynamic);
-        break;
-      case Kind::kRounds:
-        w.KV("kind", "rounds");
-        w.Key("rounds");
-        AppendRoundsReport(w, e.rounds);
-        break;
-      case Kind::kPolicy:
-        w.KV("kind", "policy");
-        w.Key("policy");
-        AppendPolicyRunReport(w, e.policy);
-        break;
-      case Kind::kServing:
-        w.KV("kind", "serving");
-        w.Key("serving");
-        AppendServingReport(w, e.serving);
-        break;
-      case Kind::kScenario:
-        w.KV("kind", "scenario");
-        w.Key("scenario").BeginObject();
-        w.KV("scenario", e.scenario.scenario);
-        w.KV("sweep_kind", e.scenario.sweep_kind);
-        w.KV("datasets", e.scenario.num_datasets);
-        w.KV("plans", e.scenario.num_plans);
-        w.KV("cells", e.scenario.num_cells);
-        w.KV("digest", e.scenario.digest);
-        w.EndObject();
-        break;
-      case Kind::kScalar:
-        w.KV("kind", "scalar");
-        w.KV("value", e.scalar);
-        break;
-    }
+    w.KV("kind", e.kind);
+    w.Key(e.payload_key).RawValue(e.payload);
     w.EndObject();
   }
   w.EndArray();

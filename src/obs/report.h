@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "engine/coscheduler.h"
-#include "engine/dynamic_policy.h"
 #include "engine/runner.h"
 #include "obs/interval_sampler.h"
 #include "obs/json.h"
@@ -29,7 +28,7 @@ void AppendHierarchyStats(JsonWriter& w, const simcache::HierarchyStats& s);
 void AppendRunReport(JsonWriter& w, const engine::RunReport& report);
 void AppendIntervalSample(JsonWriter& w, const IntervalSample& sample);
 void AppendDynamicRunReport(JsonWriter& w,
-                            const engine::DynamicRunReport& report);
+                            const policy::DynamicRunReport& report);
 void AppendRoundsReport(JsonWriter& w, const engine::RoundsReport& report);
 void AppendPolicyRunReport(JsonWriter& w,
                            const policy::PolicyRunReport& report);
@@ -52,8 +51,9 @@ struct ScenarioSummary {
 /// Accumulates the results of one benchmark binary into a single JSON run
 /// report: `{"schema": ..., "benchmark": ..., "params": {...},
 /// "results": [{"name": ..., "kind": "run|dynamic|rounds|scalar", ...}]}`.
-/// Used by RunWorkloadDynamic/ExecuteRounds consumers and all bench/fig*
-/// binaries behind their --report-out flag.
+/// Each result is rendered to JSON when it is added. Used by
+/// RunWorkloadDynamic/ExecuteRounds consumers and all bench/fig* binaries
+/// behind their --report-out flag.
 class RunReportWriter {
  public:
   explicit RunReportWriter(std::string benchmark);
@@ -64,12 +64,12 @@ class RunReportWriter {
   void AddParam(const std::string& key, uint64_t value);
   void AddParam(const std::string& key, double value);
 
-  void AddRun(std::string name, engine::RunReport report);
-  void AddDynamicRun(std::string name, engine::DynamicRunReport report);
-  void AddRounds(std::string name, engine::RoundsReport report);
-  void AddPolicyRun(std::string name, policy::PolicyRunReport report);
-  void AddServingRun(std::string name, serve::ServingRunReport report);
-  void AddScenario(std::string name, ScenarioSummary summary);
+  void AddRun(std::string name, const engine::RunReport& report);
+  void AddDynamicRun(std::string name, const policy::DynamicRunReport& report);
+  void AddRounds(std::string name, const engine::RoundsReport& report);
+  void AddPolicyRun(std::string name, const policy::PolicyRunReport& report);
+  void AddServingRun(std::string name, const serve::ServingRunReport& report);
+  void AddScenario(std::string name, const ScenarioSummary& summary);
   void AddScalar(std::string name, double value);
 
   size_t num_results() const { return entries_.size(); }
@@ -85,27 +85,16 @@ class RunReportWriter {
   Status WriteFile(const std::string& path) const;
 
  private:
-  enum class Kind : uint8_t {
-    kRun,
-    kDynamic,
-    kRounds,
-    kPolicy,
-    kServing,
-    kScenario,
-    kScalar,
+  /// One result: `{"name": name, "kind": kind, payload_key: payload}`.
+  struct Entry {
+    std::string name;
+    const char* kind;
+    const char* payload_key;
+    std::string payload;  // rendered JSON value
   };
 
-  struct Entry {
-    Kind kind;
-    std::string name;
-    engine::RunReport run;
-    engine::DynamicRunReport dynamic;
-    engine::RoundsReport rounds;
-    policy::PolicyRunReport policy;
-    serve::ServingRunReport serving;
-    ScenarioSummary scenario;
-    double scalar = 0;
-  };
+  void AddEntry(std::string name, const char* kind, const char* payload_key,
+                std::string payload);
 
   std::string benchmark_;
   std::vector<std::pair<std::string, std::string>> params_;  // pre-rendered

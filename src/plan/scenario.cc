@@ -5,7 +5,9 @@
 #include <sstream>
 #include <utility>
 
+#include "cat/cat_controller.h"
 #include "common/check.h"
+#include "sim/machine.h"
 
 namespace catdb::plan {
 
@@ -95,10 +97,26 @@ const char* SweepKindName(SweepKind kind) {
   return kKindNames[static_cast<size_t>(kind)];
 }
 
+engine::PolicyConfig PairPolicyConfig(const PairPolicySpec& spec) {
+  engine::PolicyConfig policy;
+  if (spec.has_polluting_ways) policy.polluting_ways = spec.polluting_ways;
+  if (spec.has_shared_ways) policy.shared_ways = spec.shared_ways;
+  if (spec.has_adaptive_heuristic) {
+    policy.adaptive_heuristic = spec.adaptive_heuristic;
+  }
+  if (spec.has_adaptive_force_polluting) {
+    policy.adaptive_force_polluting = spec.adaptive_force_polluting;
+  }
+  return policy;
+}
+
 Status ValidateScenario(const Scenario& scenario) {
   if (scenario.benchmark.empty()) {
     return Status::InvalidArgument("$.benchmark: must be nonempty");
   }
+  // The machine every sweep cell builds (SweepCell::MakeMachine).
+  const sim::MachineConfig machine;
+  const uint32_t llc_ways = machine.hierarchy.llc.num_ways;
 
   std::set<std::string> dataset_names;
   for (size_t i = 0; i < scenario.datasets.size(); ++i) {
@@ -231,17 +249,16 @@ Status ValidateScenario(const Scenario& scenario) {
         return Status::InvalidArgument(
             "$.latency_sweep: ways and smoke_ways must be nonempty");
       }
-      for (size_t i = 0; i < s.ways.size(); ++i) {
-        if (s.ways[i] == 0) {
-          return Status::InvalidArgument(
-              IndexPath("$.latency_sweep.ways", i) + ": must be at least 1");
-        }
-      }
-      for (size_t i = 0; i < s.smoke_ways.size(); ++i) {
-        if (s.smoke_ways[i] == 0) {
-          return Status::InvalidArgument(
-              IndexPath("$.latency_sweep.smoke_ways", i) +
-              ": must be at least 1");
+      for (const char* key : {"ways", "smoke_ways"}) {
+        const std::vector<uint32_t>& ways =
+            key[0] == 'w' ? s.ways : s.smoke_ways;
+        for (size_t i = 0; i < ways.size(); ++i) {
+          if (ways[i] == 0 || ways[i] > llc_ways) {
+            return Status::InvalidArgument(
+                IndexPath(JoinPath("$.latency_sweep", key), i) +
+                ": must be in [1, " + std::to_string(llc_ways) +
+                "] (the LLC ways)");
+          }
         }
       }
       break;
@@ -259,6 +276,16 @@ Status ValidateScenario(const Scenario& scenario) {
       if (s.smoke_cells == 0 || s.smoke_cells > s.cells.size()) {
         return Status::InvalidArgument(
             "$.pair_sweep.smoke_cells: must be in [1, number of cells]");
+      }
+      if (s.has_policy) {
+        // RunPair forces the scheme on for the partitioned leg.
+        engine::PolicyConfig policy = PairPolicyConfig(s.policy);
+        policy.enabled = true;
+        const Status st = engine::ValidatePolicyConfig(policy, llc_ways);
+        if (!st.ok()) {
+          return Status::InvalidArgument("$.pair_sweep.policy: " +
+                                         st.message());
+        }
       }
       std::set<std::string> cell_names;
       for (size_t i = 0; i < s.cells.size(); ++i) {
@@ -346,9 +373,17 @@ Status ValidateScenario(const Scenario& scenario) {
         return Status::InvalidArgument(
             "$.serving_sweep.class_deal: must be nonempty");
       }
-      if (s.cores == 0) {
+      if (s.cores == 0 || s.cores > machine.hierarchy.num_cores) {
         return Status::InvalidArgument(
-            "$.serving_sweep.cores: must be at least 1");
+            "$.serving_sweep.cores: must be in [1, " +
+            std::to_string(machine.hierarchy.num_cores) +
+            "] (the machine's cores)");
+      }
+      if (s.max_clusters == 0 || s.max_clusters >= cat::kDefaultMaxClos) {
+        return Status::InvalidArgument(
+            "$.serving_sweep.max_clusters: must be in [1, " +
+            std::to_string(cat::kDefaultMaxClos - 1) +
+            "] (one CLOS stays with the default group)");
       }
       if (s.tenants == 0 || s.smoke_tenants == 0) {
         return Status::InvalidArgument(

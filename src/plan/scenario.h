@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/partitioning_policy.h"
 #include "obs/json_value.h"
 #include "plan/dataset.h"
 #include "plan/json_util.h"
@@ -81,6 +82,10 @@ struct PairPolicySpec {
   bool has_adaptive_force_polluting = false;
   bool adaptive_force_polluting = false;
 };
+
+/// The partitioning policy of the pair sweep's partitioned leg: the
+/// engine::PolicyConfig defaults with `spec`'s overrides applied.
+engine::PolicyConfig PairPolicyConfig(const PairPolicySpec& spec);
 
 struct PairCellSpec {
   std::string name;
@@ -150,8 +155,9 @@ struct Scenario {
 };
 
 /// Cross-field validation (unique names, resolvable references, per-kind
-/// requirements). Parse functions call this; the generator's output is
-/// CHECK-validated with it too.
+/// requirements, and sizes that fit the sim::MachineConfig{} machine every
+/// sweep cell runs on). Parse functions call this; the generator's output
+/// is CHECK-validated with it too.
 Status ValidateScenario(const Scenario& scenario);
 
 Status ScenarioFromJson(const obs::JsonValue& v, Scenario* out);

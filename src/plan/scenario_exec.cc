@@ -176,21 +176,7 @@ void RunPairSweep(const Scenario& scenario, const ExecOptions& opts,
   const size_t num_cells =
       opts.smoke ? static_cast<size_t>(spec.smoke_cells) : spec.cells.size();
 
-  engine::PolicyConfig policy;
-  if (spec.has_policy) {
-    if (spec.policy.has_polluting_ways) {
-      policy.polluting_ways = spec.policy.polluting_ways;
-    }
-    if (spec.policy.has_shared_ways) {
-      policy.shared_ways = spec.policy.shared_ways;
-    }
-    if (spec.policy.has_adaptive_heuristic) {
-      policy.adaptive_heuristic = spec.policy.adaptive_heuristic;
-    }
-    if (spec.policy.has_adaptive_force_polluting) {
-      policy.adaptive_force_polluting = spec.policy.adaptive_force_polluting;
-    }
-  }
+  const engine::PolicyConfig policy = PairPolicyConfig(spec.policy);
 
   out->results.resize(num_cells);
   for (size_t ci = 0; ci < num_cells; ++ci) {
@@ -340,7 +326,7 @@ void RunServing(const Scenario& scenario, const ExecOptions& opts,
                                 static_cast<double>(rep.latency.p99));
         cell.report().AddScalar(key + "/rejected_ratio",
                                 cell_out->rejected_ratio());
-        cell.report().AddServingRun(key, std::move(rep));
+        cell.report().AddServingRun(key, rep);
       });
     }
   }
@@ -403,7 +389,7 @@ void AddScenarioSection(obs::RunReportWriter* report,
                 static_cast<unsigned long long>(
                     Fnv1a64(ScenarioToText(scenario))));
   s.digest = buf;
-  report->AddScenario(scenario.benchmark, std::move(s));
+  report->AddScenario(scenario.benchmark, s);
 }
 
 Status RunScenario(const Scenario& scenario, const ExecOptions& opts,

@@ -1,6 +1,8 @@
 #include "policy/policy_engine.h"
 
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "cat/resctrl.h"
 #include "common/bits.h"
@@ -40,18 +42,21 @@ PolicyRunReport RunWorkloadWithAllocator(
   const uint32_t llc_ways = machine->config().hierarchy.llc.num_ways;
   const uint64_t full_mask = MaskForWays(llc_ways);
 
-  // The shadow profiler observes every demand LLC lookup tagged with the
-  // stream's CLOS; observation is side-effect free, so the simulated run is
-  // cycle-identical whether the profiler is attached or not (pinned by the
-  // policy tests). It is detached before this frame unwinds.
-  simcache::ShadowTagProfiler profiler(machine->config().hierarchy.llc,
-                                       config.profiler);
-  machine->hierarchy().AttachShadowProfiler(&profiler);
-
   obs::IntervalSampler sampler(
       &machine->hierarchy(),
       machine->config().hierarchy.latency.dram_transfer);
-  sampler.AttachShadowProfiler(&profiler);
+
+  // The shadow profiler observes every demand LLC lookup tagged with the
+  // stream's CLOS; observation is side-effect free, so the simulated run is
+  // cycle-identical whether the profiler is attached or not (pinned by the
+  // policy tests). It is detached before this frame unwinds. Without it the
+  // samples (and reports) carry no curves.
+  std::optional<simcache::ShadowTagProfiler> profiler;
+  if (allocator->uses_curves()) {
+    profiler.emplace(machine->config().hierarchy.llc, config.profiler);
+    machine->hierarchy().AttachShadowProfiler(&*profiler);
+    sampler.AttachShadowProfiler(&*profiler);
+  }
 
   PolicyRunReport result;
   result.allocator_name = allocator->name();
@@ -66,7 +71,7 @@ PolicyRunReport RunWorkloadWithAllocator(
     }
     auto clos = fs.ClosOfGroup(group);
     CATDB_CHECK(clos.ok());
-    CATDB_CHECK(clos.value() < profiler.max_clos());
+    CATDB_CHECK(!profiler || clos.value() < profiler->max_clos());
     stream_clos.push_back(clos.value());
     sampler.Watch(clos.value(), group);
     result.group_names.push_back(group);
@@ -91,8 +96,10 @@ PolicyRunReport RunWorkloadWithAllocator(
     executor.RunUntil(stop);
     result.intervals += 1;
 
-    // The sample carries this interval's MRC snapshots (pre-aging), so the
-    // allocator and the written report see the same curves.
+    // One snapshot per interval; the final interval may be shorter than
+    // interval_cycles and its bandwidth share is computed over the actual
+    // length. The sample carries this interval's MRC snapshots (pre-aging),
+    // so the allocator and the written report see the same curves.
     const obs::IntervalSample& sample = sampler.Sample(stop);
 
     std::vector<StreamProfile> profiles(specs.size());
@@ -149,17 +156,48 @@ PolicyRunReport RunWorkloadWithAllocator(
 
     // Age the shadow counters so the curves track phase changes instead of
     // averaging over the whole run.
-    profiler.Age();
+    if (profiler) profiler->Age();
 
     if (stop >= horizon_cycles) break;
   }
 
-  machine->hierarchy().AttachShadowProfiler(nullptr);
+  if (profiler) machine->hierarchy().AttachShadowProfiler(nullptr);
 
   result.interval_series = sampler.series();
   result.final_masks = current_masks;
   result.report =
       engine::CollectRunReport(machine, scheduler, streams, horizon_cycles);
+  return result;
+}
+
+DynamicRunReport RunWorkloadDynamic(
+    sim::Machine* machine, const std::vector<engine::StreamSpec>& specs,
+    uint64_t horizon_cycles, const DynamicPolicyConfig& config) {
+  CATDB_CHECK(machine != nullptr);
+  CATDB_CHECK(!specs.empty());
+  {
+    const Status st = ValidateDynamicPolicyConfig(
+        config, machine->config().hierarchy.llc.num_ways);
+    CATDB_CHECK(st.ok());
+  }
+  ThresholdAllocator allocator(config, specs.size());
+  PolicyEngineConfig loop;
+  loop.interval_cycles = config.interval_cycles;
+  // The classifier keeps its own widening hysteresis, which holds the clean
+  // streak across an ambiguous interval; the loop's widen streak would
+  // reset there instead.
+  loop.widen_intervals = 0;
+  PolicyRunReport run = RunWorkloadWithAllocator(machine, specs,
+                                                 horizon_cycles, &allocator,
+                                                 loop);
+  DynamicRunReport result;
+  result.report = std::move(run.report);
+  result.restricted = allocator.restricted();
+  result.restricted_at_interval = allocator.restricted_at_interval();
+  result.intervals = run.intervals;
+  result.schemata_writes = run.schemata_writes;
+  result.group_names = std::move(run.group_names);
+  result.interval_series = std::move(run.interval_series);
   return result;
 }
 

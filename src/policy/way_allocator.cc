@@ -59,6 +59,98 @@ std::vector<uint64_t> StaticPaperAllocator::Allocate(
 }
 
 // ---------------------------------------------------------------------------
+// ThresholdAllocator
+
+Status ValidateDynamicPolicyConfig(const DynamicPolicyConfig& config,
+                                   uint32_t llc_ways) {
+  if (config.interval_cycles < 1) {
+    return Status::InvalidArgument(
+        "interval_cycles must be nonzero (a zero interval never advances "
+        "the executor)");
+  }
+  if (config.polluting_ways < 1 || config.polluting_ways > llc_ways) {
+    return Status::InvalidArgument(
+        "polluting_ways must be in [1, llc_ways]: a zero-way CAT mask is "
+        "invalid and an over-wide one exceeds the schemata width");
+  }
+  if (config.polluter_bandwidth_share < 0.0 ||
+      config.polluter_bandwidth_share > 1.0 ||
+      config.polluter_hit_ratio < 0.0 || config.polluter_hit_ratio > 1.0) {
+    return Status::InvalidArgument(
+        "polluter thresholds are ratios and must lie in [0, 1]");
+  }
+  return Status::OK();
+}
+
+ThresholdAllocator::ThresholdAllocator(const DynamicPolicyConfig& config,
+                                       size_t num_streams)
+    : config_(config),
+      restricted_(num_streams, false),
+      clean_streak_(num_streams, 0),
+      restricted_at_interval_(num_streams, 0) {
+  CATDB_CHECK(num_streams >= 1);
+}
+
+std::vector<uint64_t> ThresholdAllocator::Allocate(
+    const std::vector<StreamProfile>& streams, uint32_t llc_ways) {
+  CATDB_CHECK(streams.size() == restricted_.size());
+  CATDB_CHECK(config_.polluting_ways >= 1 &&
+              config_.polluting_ways <= llc_ways);
+  intervals_ += 1;
+  std::vector<uint64_t> masks(streams.size());
+  for (size_t i = 0; i < streams.size(); ++i) {
+    const StreamProfile& p = streams[i];
+    const bool restricted =
+        OnInterval(i, p.bandwidth_share, p.hit_ratio, p.llc_lookups)
+            .restricted;
+    if (restricted && restricted_at_interval_[i] == 0) {
+      restricted_at_interval_[i] = intervals_;
+    }
+    masks[i] = MaskForWays(restricted ? config_.polluting_ways : llc_ways);
+  }
+  return masks;
+}
+
+ThresholdAllocator::Decision ThresholdAllocator::OnInterval(
+    size_t stream, double bandwidth_share, double hit_ratio,
+    uint64_t lookups) {
+  CATDB_CHECK(stream < restricted_.size());
+  const bool polluter =
+      bandwidth_share >= config_.polluter_bandwidth_share &&
+      hit_ratio < config_.polluter_hit_ratio;
+
+  Decision d;
+  if (polluter) {
+    // Restriction is immediate: one polluting interval tightens the mask.
+    clean_streak_[stream] = 0;
+    d.changed = !restricted_[stream];
+    restricted_[stream] = true;
+  } else if (restricted_[stream]) {
+    if (lookups == 0 && bandwidth_share > 0.0) {
+      // Ambiguous interval: the stream moved data but had no demand LLC
+      // lookups to judge (pure prefetch fills, or it stalled behind the
+      // DRAM queue and its idle hit_ratio defaults to 1.0). Not evidence
+      // of polluting, but not evidence of a clean phase either — hold the
+      // streak where it is.
+    } else {
+      // Widening requires a streak of clean intervals: one idle interval
+      // must not flap the mask. unrestrict_intervals == 0 disables the
+      // hysteresis (first clean interval widens, same as 1).
+      clean_streak_[stream] += 1;
+      const uint32_t needed =
+          config_.unrestrict_intervals > 0 ? config_.unrestrict_intervals : 1;
+      if (clean_streak_[stream] >= needed) {
+        restricted_[stream] = false;
+        clean_streak_[stream] = 0;
+        d.changed = true;
+      }
+    }
+  }
+  d.restricted = restricted_[stream];
+  return d;
+}
+
+// ---------------------------------------------------------------------------
 // LookaheadUtilityAllocator
 
 LookaheadUtilityAllocator::LookaheadUtilityAllocator(

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/partitioning_policy.h"
 
 namespace catdb::policy {
@@ -49,6 +50,11 @@ class WayAllocator {
   /// masks, with all ties broken by stream index.
   virtual std::vector<uint64_t> Allocate(
       const std::vector<StreamProfile>& streams, uint32_t llc_ways) = 0;
+
+  /// Whether Allocate reads the miss-rate curves. The policy engine attaches
+  /// the shadow-tag profiler (and so fills `mrc_*` in the profiles and the
+  /// interval series) only for allocators that do.
+  virtual bool uses_curves() const { return true; }
 };
 
 /// The paper's static scheme lifted to stream granularity: streams annotated
@@ -71,6 +77,94 @@ class StaticPaperAllocator : public WayAllocator {
   engine::PolicyConfig config_;
   std::vector<bool> polluting_;
   std::string name_ = "static";
+};
+
+/// Configuration of the threshold classifier — the paper's outlook
+/// (Sections VII/VIII): instead of static per-operator annotations, classify
+/// running query streams online from hardware monitoring (CMT/MBM and
+/// per-class LLC counters) and program CAT masks accordingly. Related work
+/// the heuristic follows: Soares et al. (classify polluters by miss
+/// behaviour), Herdrich et al. (CMT/CAT).
+struct DynamicPolicyConfig {
+  /// Monitoring/decision interval in simulated cycles.
+  uint64_t interval_cycles = 10'000'000;
+  /// A stream is classified cache-polluting when, within one interval, it
+  /// consumed at least this share of the DRAM channel's line capacity ...
+  double polluter_bandwidth_share = 0.20;
+  /// ... while its LLC hit ratio stayed below this bound (it streams and
+  /// does not reuse what it caches).
+  double polluter_hit_ratio = 0.10;
+  /// Ways granted to streams classified polluting (mask 0x3 by default).
+  uint32_t polluting_ways = 2;
+  /// Hysteresis: a restricted stream is widened back to the full mask only
+  /// after this many *consecutive* non-polluter intervals. Restriction
+  /// itself stays immediate (one bad interval restricts). Guards against
+  /// flapping: a polluter stalled behind the DRAM queue for one interval
+  /// (lookups_delta == 0 reads as the idle hit_ratio default of 1.0) would
+  /// otherwise be unrestricted and instantly re-restricted, burning two
+  /// schemata writes per flap. 0 disables the hysteresis entirely: the
+  /// first clean interval widens immediately (same as 1).
+  uint32_t unrestrict_intervals = 2;
+};
+
+/// Validates a threshold-classifier configuration against the machine's LLC
+/// width. Returns InvalidArgument instead of letting a zero interval spin
+/// the controller or an out-of-range way count produce a degenerate
+/// (empty or over-wide) CAT mask.
+Status ValidateDynamicPolicyConfig(const DynamicPolicyConfig& config,
+                                   uint32_t llc_ways);
+
+/// The monitoring-driven threshold scheme: a stream that moves a large
+/// share of the DRAM channel while hitting little in the LLC is a polluter
+/// and is confined to the low `polluting_ways` mask; everything else keeps
+/// the full cache. Restriction is immediate, widening waits for a streak of
+/// clean intervals. Decides from the interval counters only, never from the
+/// miss-rate curves.
+class ThresholdAllocator : public WayAllocator {
+ public:
+  ThresholdAllocator(const DynamicPolicyConfig& config, size_t num_streams);
+
+  const std::string& name() const override { return name_; }
+  bool uses_curves() const override { return false; }
+  /// Runs OnInterval for every stream and counts the interval; a
+  /// restricted stream gets MaskForWays(polluting_ways), the others the
+  /// full mask.
+  std::vector<uint64_t> Allocate(const std::vector<StreamProfile>& streams,
+                                 uint32_t llc_ways) override;
+
+  struct Decision {
+    bool changed = false;     // the stream's restriction flipped
+    bool restricted = false;  // the stream's state after this interval
+  };
+
+  /// Feeds one interval's monitoring deltas for `stream` and returns the
+  /// resulting state. `bandwidth_share` is the stream's share of the DRAM
+  /// channel capacity within the interval (obs::ChannelBandwidthShare over
+  /// the *actual* interval length); `hit_ratio` its demand LLC hit ratio
+  /// (1.0 when it had no LLC lookups); `lookups` the demand LLC lookups
+  /// behind that ratio. An interval that moved data without demand lookups
+  /// (lookups == 0, bandwidth_share > 0 — e.g. pure prefetch fills, or a
+  /// stream stalled behind the DRAM queue) is ambiguous: it neither counts
+  /// toward nor resets the clean streak.
+  Decision OnInterval(size_t stream, double bandwidth_share,
+                      double hit_ratio, uint64_t lookups);
+
+  /// Per stream: is it restricted now?
+  const std::vector<bool>& restricted() const { return restricted_; }
+  /// Per stream: first Allocate call (1-based interval) that left it
+  /// restricted; 0 = never.
+  const std::vector<uint32_t>& restricted_at_interval() const {
+    return restricted_at_interval_;
+  }
+
+ private:
+  DynamicPolicyConfig config_;
+  std::vector<bool> restricted_;
+  /// Consecutive non-polluter intervals observed while restricted.
+  std::vector<uint32_t> clean_streak_;
+  std::vector<uint32_t> restricted_at_interval_;
+  uint32_t intervals_ = 0;
+  std::string name_ = "threshold";
 };
 
 /// Tuning knobs of the lookahead allocator.

@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/dynamic_policy.h"
 #include "engine/operators/aggregation.h"
 #include "engine/operators/column_scan.h"
 #include "engine/runner.h"
 #include "obs/trace.h"
+#include "policy/policy_engine.h"
 #include "sim/executor.h"
 #include "sim/machine.h"
 #include "workloads/micro.h"
@@ -270,7 +270,7 @@ TEST(DeterminismGoldenTest, BatchedRunsReportIdenticalToScalarRuns) {
   EXPECT_GT(batched.stats.dram_accesses, 0u);
 }
 
-engine::DynamicRunReport RunDynamicGolden(bool traced = false) {
+policy::DynamicRunReport RunDynamicGolden(bool traced = false) {
   sim::Machine machine{sim::MachineConfig{}};
   if (traced) machine.EnableTracing();
   auto scan_data = workloads::MakeScanDataset(
@@ -285,15 +285,15 @@ engine::DynamicRunReport RunDynamicGolden(bool traced = false) {
   engine::AggregationQuery agg(&agg_data.v, &agg_data.g);
   scan.AttachSim(&machine);
   agg.AttachSim(&machine);
-  engine::DynamicPolicyConfig cfg;
+  policy::DynamicPolicyConfig cfg;
   cfg.interval_cycles = 1'000'000;
-  return engine::RunWorkloadDynamic(&machine, {{&agg, kA}, {&scan, kB}},
+  return policy::RunWorkloadDynamic(&machine, {{&agg, kA}, {&scan, kB}},
                                     10'000'000, cfg);
 }
 
 TEST(DeterminismGoldenTest, DynamicPolicyReportIdenticalAcrossFreshMachines) {
-  const engine::DynamicRunReport r1 = RunDynamicGolden();
-  const engine::DynamicRunReport r2 = RunDynamicGolden();
+  const policy::DynamicRunReport r1 = RunDynamicGolden();
+  const policy::DynamicRunReport r2 = RunDynamicGolden();
   ExpectReportsIdentical(r1.report, r2.report);
   EXPECT_EQ(r1.intervals, r2.intervals);
   EXPECT_EQ(r1.schemata_writes, r2.schemata_writes);
@@ -313,8 +313,8 @@ TEST(TracingDeterminismTest, TracedOltpScanMatchesUntraced) {
 }
 
 TEST(TracingDeterminismTest, TracedDynamicRunMatchesUntraced) {
-  const engine::DynamicRunReport untraced = RunDynamicGolden(false);
-  const engine::DynamicRunReport traced = RunDynamicGolden(true);
+  const policy::DynamicRunReport untraced = RunDynamicGolden(false);
+  const policy::DynamicRunReport traced = RunDynamicGolden(true);
   ExpectReportsIdentical(untraced.report, traced.report);
   EXPECT_EQ(untraced.intervals, traced.intervals);
   EXPECT_EQ(untraced.schemata_writes, traced.schemata_writes);
@@ -340,9 +340,9 @@ TEST(TracingDeterminismTest, RestrictionFlipsReplayFromIntervalSeries) {
   engine::AggregationQuery agg(&agg_data.v, &agg_data.g);
   scan.AttachSim(&machine);
   agg.AttachSim(&machine);
-  engine::DynamicPolicyConfig cfg;
+  policy::DynamicPolicyConfig cfg;
   cfg.interval_cycles = 1'000'000;
-  const auto r = engine::RunWorkloadDynamic(
+  const auto r = policy::RunWorkloadDynamic(
       &machine, {{&agg, kA}, {&scan, kB}}, 10'000'000, cfg);
 
   std::vector<obs::TraceEvent> flips;
@@ -352,7 +352,7 @@ TEST(TracingDeterminismTest, RestrictionFlipsReplayFromIntervalSeries) {
   ASSERT_FALSE(flips.empty());
   EXPECT_EQ(flips.size(), r.schemata_writes);
 
-  engine::DynamicClassifier replay(cfg, /*num_streams=*/2);
+  policy::ThresholdAllocator replay(cfg, /*num_streams=*/2);
   size_t next = 0;
   for (const obs::IntervalSample& sample : r.interval_series) {
     for (size_t i = 0; i < sample.clos.size(); ++i) {

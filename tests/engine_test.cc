@@ -5,7 +5,6 @@
 
 #include "engine/composite_query.h"
 #include "engine/coscheduler.h"
-#include "engine/dynamic_policy.h"
 #include "engine/job_scheduler.h"
 #include "engine/operators/aggregation.h"
 #include "engine/operators/column_scan.h"
@@ -412,105 +411,6 @@ TEST(CoschedulerTest, ExecuteRoundsReportCapturesPerRoundStats) {
   for (const auto& round : rep.round_reports) {
     EXPECT_FALSE(round.streams.empty());
   }
-}
-
-TEST(DynamicClassifierTest, RestrictsImmediatelyWidensAfterStreak) {
-  DynamicPolicyConfig cfg;
-  cfg.unrestrict_intervals = 2;
-  DynamicClassifier classifier(cfg, /*num_streams=*/1);
-
-  // Polluter profile: high bandwidth, low hit ratio -> restrict at once.
-  auto d = classifier.OnInterval(0, 0.5, 0.05, 1000);
-  EXPECT_TRUE(d.restricted);
-  EXPECT_TRUE(d.changed);
-
-  // One clean interval is not enough to widen.
-  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
-  EXPECT_TRUE(d.restricted);
-  EXPECT_FALSE(d.changed);
-  // Second consecutive clean interval widens.
-  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
-  EXPECT_FALSE(d.restricted);
-  EXPECT_TRUE(d.changed);
-}
-
-TEST(DynamicClassifierTest, ZeroUnrestrictIntervalsWidensImmediately) {
-  // unrestrict_intervals == 0 disables the hysteresis: the first clean
-  // interval widens (same as 1). This used to abort at construction.
-  DynamicPolicyConfig cfg;
-  cfg.unrestrict_intervals = 0;
-  DynamicClassifier classifier(cfg, /*num_streams=*/1);
-
-  auto d = classifier.OnInterval(0, 0.5, 0.05, 1000);
-  EXPECT_TRUE(d.restricted);
-  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
-  EXPECT_FALSE(d.restricted);
-  EXPECT_TRUE(d.changed);
-}
-
-TEST(DynamicClassifierTest, BandwidthWithoutLookupsHoldsCleanStreak) {
-  // An interval that moved data (nonzero bandwidth share) without any
-  // demand LLC lookups is ambiguous — the idle hit_ratio default of 1.0
-  // says nothing about reuse (pure prefetch fills, or a stream stalled
-  // behind the DRAM queue). It must neither advance nor reset the clean
-  // streak.
-  DynamicPolicyConfig cfg;
-  cfg.unrestrict_intervals = 2;
-  DynamicClassifier classifier(cfg, /*num_streams=*/1);
-
-  EXPECT_TRUE(classifier.OnInterval(0, 0.5, 0.05, 1000).restricted);
-  // Clean #1.
-  EXPECT_TRUE(classifier.OnInterval(0, 0.01, 0.9, 1000).restricted);
-  // Ambiguous: bandwidth but no lookups. Must not count as clean #2 ...
-  auto d = classifier.OnInterval(0, 0.5, 1.0, 0);
-  EXPECT_TRUE(d.restricted);
-  EXPECT_FALSE(d.changed);
-  // ... and must not have reset the streak either: one more clean interval
-  // completes the streak of two.
-  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
-  EXPECT_FALSE(d.restricted);
-  EXPECT_TRUE(d.changed);
-
-  // A genuinely idle interval (no lookups, no bandwidth) still counts
-  // toward the streak.
-  EXPECT_TRUE(classifier.OnInterval(0, 0.5, 0.05, 1000).restricted);
-  classifier.OnInterval(0, 0.0, 1.0, 0);  // idle: clean #1
-  d = classifier.OnInterval(0, 0.0, 1.0, 0);  // idle: clean #2 -> widen
-  EXPECT_FALSE(d.restricted);
-  EXPECT_TRUE(d.changed);
-}
-
-TEST(DynamicClassifierTest, IdleIntervalDoesNotFlapRestriction) {
-  // The idle default (no lookups -> hit_ratio 1.0, bandwidth 0) used to
-  // widen a restricted polluter after a single quiet interval, producing
-  // restrict/widen flapping. With hysteresis the polluter stays put.
-  DynamicPolicyConfig cfg;
-  cfg.unrestrict_intervals = 2;
-  DynamicClassifier classifier(cfg, /*num_streams=*/1);
-
-  uint32_t flips = 0;
-  auto feed = [&](double bw, double hr) {
-    // Idle intervals (bw == 0) carry no lookups; active ones do.
-    auto d = classifier.OnInterval(0, bw, hr, bw > 0.0 ? 1000 : 0);
-    if (d.changed) ++flips;
-    return d;
-  };
-  EXPECT_TRUE(feed(0.5, 0.05).restricted);  // restrict
-  // Alternate idle / polluting intervals: a classifier without hysteresis
-  // would flip twice per cycle; with the 2-interval streak it never widens.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(feed(0.0, 1.0).restricted);   // idle
-    EXPECT_TRUE(feed(0.5, 0.05).restricted);  // polluting again
-  }
-  EXPECT_EQ(flips, 1u);
-
-  // And a polluting interval resets the clean streak mid-count.
-  feed(0.0, 1.0);            // clean #1
-  feed(0.5, 0.05);           // polluter: streak resets
-  feed(0.0, 1.0);            // clean #1 again
-  auto d = feed(0.0, 1.0);   // clean #2: now it widens
-  EXPECT_FALSE(d.restricted);
-  EXPECT_TRUE(d.changed);
 }
 
 TEST(CoschedulerTest, ExecuteRoundsRunsToCompletion) {

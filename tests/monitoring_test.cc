@@ -5,11 +5,11 @@
 
 #include <set>
 
-#include "engine/dynamic_policy.h"
 #include "engine/job_scheduler.h"
 #include "engine/operators/aggregation.h"
 #include "engine/operators/column_scan.h"
 #include "obs/interval_sampler.h"
+#include "policy/policy_engine.h"
 #include "simcache/hierarchy.h"
 #include "simcache/prefetcher.h"
 #include "workloads/micro.h"
@@ -247,8 +247,8 @@ TEST(DynamicPolicyTest, ClassifiesScanAsPolluterAndHelps) {
   const uint64_t horizon = 60'000'000;
   auto shared = engine::RunWorkload(&machine, specs, horizon,
                                     engine::PolicyConfig{});
-  auto dynamic = engine::RunWorkloadDynamic(&machine, specs, horizon,
-                                            engine::DynamicPolicyConfig{});
+  auto dynamic = policy::RunWorkloadDynamic(&machine, specs, horizon,
+                                            policy::DynamicPolicyConfig{});
 
   EXPECT_FALSE(dynamic.restricted[0]);  // the aggregation keeps the cache
   EXPECT_TRUE(dynamic.restricted[1]);   // the scan is confined
@@ -262,10 +262,10 @@ TEST(DynamicPolicyTest, DeterministicAcrossRuns) {
   engine::ColumnScanQuery scan(&scan_data.column, 72);
   scan.AttachSim(&machine);
   const std::vector<engine::StreamSpec> specs = {{&scan, {0, 1}}};
-  auto r1 = engine::RunWorkloadDynamic(&machine, specs, 20'000'000,
-                                       engine::DynamicPolicyConfig{});
-  auto r2 = engine::RunWorkloadDynamic(&machine, specs, 20'000'000,
-                                       engine::DynamicPolicyConfig{});
+  auto r1 = policy::RunWorkloadDynamic(&machine, specs, 20'000'000,
+                                       policy::DynamicPolicyConfig{});
+  auto r2 = policy::RunWorkloadDynamic(&machine, specs, 20'000'000,
+                                       policy::DynamicPolicyConfig{});
   EXPECT_DOUBLE_EQ(r1.report.streams[0].iterations,
                    r2.report.streams[0].iterations);
   EXPECT_EQ(r1.schemata_writes, r2.schemata_writes);
@@ -299,11 +299,11 @@ TEST(DynamicPolicyTest, FinalShortIntervalIsSampledAtActualLength) {
   scan.AttachSim(&machine);
   const std::vector<engine::StreamSpec> specs = {{&scan, {0, 1}}};
 
-  engine::DynamicPolicyConfig cfg;
+  policy::DynamicPolicyConfig cfg;
   cfg.interval_cycles = 10'000'000;
   // A horizon that is not a multiple of the interval leaves a 40 % tail.
   const uint64_t horizon = 2 * cfg.interval_cycles + 4'000'000;
-  auto r = engine::RunWorkloadDynamic(&machine, specs, horizon, cfg);
+  auto r = policy::RunWorkloadDynamic(&machine, specs, horizon, cfg);
 
   ASSERT_EQ(r.interval_series.size(), 3u);
   const auto& last = r.interval_series.back();

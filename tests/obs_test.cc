@@ -1,4 +1,4 @@
-// Tests for the observability layer: JSON writer/validator, event-trace
+// Tests for the observability layer: JSON writer and parser, event-trace
 // ring buffer and Chrome export, interval sampler math, and the unified
 // run-report writer.
 
@@ -7,6 +7,7 @@
 #include "engine/runner.h"
 #include "obs/interval_sampler.h"
 #include "obs/json.h"
+#include "obs/json_value.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "simcache/hierarchy.h"
@@ -14,7 +15,12 @@
 namespace catdb {
 namespace {
 
-// --- JsonWriter / JsonSyntaxValid ---
+// --- JsonWriter / JsonParse ---
+
+bool ParsesAsJson(const std::string& text) {
+  obs::JsonValue value;
+  return obs::JsonParse(text, &value).ok();
+}
 
 TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
   obs::JsonWriter w;
@@ -28,7 +34,7 @@ TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
   w.Key("nothing").Null();
   w.EndObject();
   ASSERT_TRUE(w.complete());
-  EXPECT_TRUE(obs::JsonSyntaxValid(w.str()));
+  EXPECT_TRUE(ParsesAsJson(w.str()));
   EXPECT_NE(w.str().find("\\\"b\\\\c\\n"), std::string::npos);
 }
 
@@ -36,22 +42,21 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   obs::JsonWriter w;
   w.BeginArray().Value(1.0 / 0.0).Value(0.0 / 0.0).EndArray();
   EXPECT_EQ(w.str(), "[null,null]");
-  EXPECT_TRUE(obs::JsonSyntaxValid(w.str()));
+  EXPECT_TRUE(ParsesAsJson(w.str()));
 }
 
 TEST(JsonSyntaxTest, AcceptsValidRejectsInvalid) {
-  EXPECT_TRUE(obs::JsonSyntaxValid("{}"));
-  EXPECT_TRUE(obs::JsonSyntaxValid("[1, 2.5e-3, \"x\", null, true]"));
-  EXPECT_TRUE(obs::JsonSyntaxValid("{\"a\": {\"b\": [false]}}"));
-  EXPECT_FALSE(obs::JsonSyntaxValid(""));
-  EXPECT_FALSE(obs::JsonSyntaxValid("{"));
-  EXPECT_FALSE(obs::JsonSyntaxValid("{\"a\":}"));
-  EXPECT_FALSE(obs::JsonSyntaxValid("[1,]"));
-  EXPECT_FALSE(obs::JsonSyntaxValid("{} {}"));
-  EXPECT_FALSE(obs::JsonSyntaxValid("{'a': 1}"));
-  EXPECT_FALSE(obs::JsonSyntaxValid("[01]") &&
-               false);  // leading zeros pass the light checker; don't rely
-  EXPECT_FALSE(obs::JsonSyntaxValid("nul"));
+  EXPECT_TRUE(ParsesAsJson("{}"));
+  EXPECT_TRUE(ParsesAsJson("[1, 2.5e-3, \"x\", null, true]"));
+  EXPECT_TRUE(ParsesAsJson("{\"a\": {\"b\": [false]}}"));
+  EXPECT_FALSE(ParsesAsJson(""));
+  EXPECT_FALSE(ParsesAsJson("{"));
+  EXPECT_FALSE(ParsesAsJson("{\"a\":}"));
+  EXPECT_FALSE(ParsesAsJson("[1,]"));
+  EXPECT_FALSE(ParsesAsJson("{} {}"));
+  EXPECT_FALSE(ParsesAsJson("{'a': 1}"));
+  EXPECT_FALSE(ParsesAsJson("[01]"));
+  EXPECT_FALSE(ParsesAsJson("nul"));
 }
 
 // --- EventTrace ring buffer ---
@@ -107,7 +112,7 @@ TEST(EventTraceTest, ChromeTraceJsonIsValidAndPairsSpans) {
   trace.Record(flip);
 
   const std::string json = trace.ChromeTraceJson();
-  EXPECT_TRUE(obs::JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"scan_chunk\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
@@ -121,7 +126,7 @@ TEST(EventTraceTest, UnmatchedDispatchEmitsNoOpenSpan) {
   trace.Record(Ev(100, obs::EventKind::kTaskDispatch, 0));
   // No finish recorded: the exporter must not leave an unclosed B event.
   const std::string json = trace.ChromeTraceJson();
-  EXPECT_TRUE(obs::JsonSyntaxValid(json));
+  EXPECT_TRUE(ParsesAsJson(json));
   EXPECT_EQ(json.find("\"ph\":\"B\""), std::string::npos);
 }
 
@@ -209,7 +214,7 @@ TEST(RunReportTest, EmitsSchemaValidJson) {
   EXPECT_EQ(report.num_results(), 2u);
 
   const std::string json = report.Json();
-  EXPECT_TRUE(obs::JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"schema\":\"catdb.report/v1\""), std::string::npos);
   EXPECT_NE(json.find("\"benchmark\":\"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"q1\""), std::string::npos);
@@ -217,7 +222,7 @@ TEST(RunReportTest, EmitsSchemaValidJson) {
 }
 
 TEST(RunReportTest, DynamicAndRoundsSectionsSerialize) {
-  engine::DynamicRunReport dyn;
+  policy::DynamicRunReport dyn;
   dyn.intervals = 2;
   dyn.schemata_writes = 1;
   dyn.group_names = {"stream0"};
@@ -241,7 +246,7 @@ TEST(RunReportTest, DynamicAndRoundsSectionsSerialize) {
   report.AddDynamicRun("dynamic", dyn);
   report.AddRounds("rounds", rounds);
   const std::string json = report.Json();
-  EXPECT_TRUE(obs::JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"interval_series\""), std::string::npos);
   EXPECT_NE(json.find("\"makespan_cycles\":500"), std::string::npos);
 }

@@ -221,6 +221,58 @@ TEST(PlanScenarioTest, UnknownDatasetReferenceNamesPath) {
   EXPECT_NE(st.message().find("'nope'"), std::string::npos) << st.message();
 }
 
+// --- Sizes must fit the machine every sweep cell builds --------------------
+
+void ExpectRejectedAt(const plan::Scenario& scenario, const std::string& path) {
+  const Status st = plan::ValidateScenario(scenario);
+  ASSERT_EQ(st.code(), StatusCode::kInvalidArgument) << path;
+  EXPECT_NE(st.message().find(path), std::string::npos) << st.message();
+}
+
+TEST(PlanScenarioTest, ServingCoresBeyondMachineAreRejected) {
+  plan::Scenario scenario = plan::ServingMixScenario();
+  scenario.serving.cores = sim::MachineConfig{}.hierarchy.num_cores + 1;
+  ExpectRejectedAt(scenario, "$.serving_sweep.cores");
+}
+
+TEST(PlanScenarioTest, ServingMaxClustersOutsideClosRangeAreRejected) {
+  // The default group holds one of the CLOS, so at most 15 of 16 clusters
+  // are programmable.
+  plan::Scenario scenario = plan::ServingMixScenario();
+  for (const uint32_t clusters : {0u, 16u, 40u}) {
+    scenario.serving.max_clusters = clusters;
+    ExpectRejectedAt(scenario, "$.serving_sweep.max_clusters");
+  }
+  scenario.serving.max_clusters = 15;
+  EXPECT_TRUE(plan::ValidateScenario(scenario).ok());
+}
+
+TEST(PlanScenarioTest, LatencyWaysBeyondLlcAreRejected) {
+  plan::Scenario scenario;
+  ASSERT_TRUE(
+      plan::BuiltinScenario("fig04_scan_cache_size", &scenario).ok());
+  const uint32_t llc_ways = sim::MachineConfig{}.hierarchy.llc.num_ways;
+  scenario.latency.smoke_ways = {llc_ways + 1};
+  ExpectRejectedAt(scenario, "$.latency_sweep.smoke_ways[0]");
+  scenario.latency.smoke_ways = {llc_ways};
+  scenario.latency.ways.back() = llc_ways + 1;
+  ExpectRejectedAt(scenario,
+                   "$.latency_sweep.ways[" +
+                       std::to_string(scenario.latency.ways.size() - 1) +
+                       "]");
+}
+
+TEST(PlanScenarioTest, PairPolicyInvalidWhenEnabledIsRejected) {
+  // RunPair forces the scheme on, so the override must pass validation as
+  // an enabled policy.
+  plan::Scenario scenario;
+  ASSERT_TRUE(plan::BuiltinScenario("fig09_scan_vs_agg", &scenario).ok());
+  scenario.pair.has_policy = true;
+  scenario.pair.policy.has_polluting_ways = true;
+  scenario.pair.policy.polluting_ways = 0;
+  ExpectRejectedAt(scenario, "$.pair_sweep.policy");
+}
+
 // --- Generator determinism ------------------------------------------------
 
 std::string CaseFingerprint(const plan::GeneratedCase& c) {

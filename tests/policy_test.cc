@@ -1,8 +1,9 @@
 // Tests for the utility-based allocation subsystem (src/policy/ and the
 // shadow-tag profiler): the profiler against an exact full-tag LRU
 // simulation, mask-validity properties of every WayAllocator, the
-// observation-only invariant (profiled runs are cycle-identical), and the
-// policy engine's widening hysteresis.
+// observation-only invariant (profiled runs are cycle-identical), the
+// threshold classifier's state machine, and the policy engine's widening
+// hysteresis.
 
 #include <gtest/gtest.h>
 
@@ -202,6 +203,12 @@ TEST_P(AllocatorPropertyTest, EveryAllocatorYieldsValidCatMasks) {
     ExpectValidMasks(fc.Allocate(profiles, llc_ways), n, llc_ways,
                      "fairness " + context);
 
+    policy::DynamicPolicyConfig dc;
+    dc.polluting_ways = std::min<uint32_t>(dc.polluting_ways, llc_ways);
+    policy::ThresholdAllocator th(dc, n);
+    ExpectValidMasks(th.Allocate(profiles, llc_ways), n, llc_ways,
+                     "threshold " + context);
+
     for (const auto grouping : {policy::ClusterGrouping::kMrcSimilarity,
                                 policy::ClusterGrouping::kRoundRobin}) {
       policy::ClusterConfig cc;
@@ -294,6 +301,107 @@ TEST(FairnessAllocatorTest, ConfinesStreamingAndIsolatesSensitive) {
   const auto masks2 = alloc.Allocate({cold, streaming}, /*llc_ways=*/8);
   EXPECT_EQ(masks2[1], 0x3u);
   EXPECT_EQ(masks2[0] & masks2[1], 0u);
+}
+
+// --- Threshold classifier state machine ---
+
+TEST(DynamicClassifierTest, RestrictsImmediatelyWidensAfterStreak) {
+  policy::DynamicPolicyConfig cfg;
+  cfg.unrestrict_intervals = 2;
+  policy::ThresholdAllocator classifier(cfg, /*num_streams=*/1);
+
+  // Polluter profile: high bandwidth, low hit ratio -> restrict at once.
+  auto d = classifier.OnInterval(0, 0.5, 0.05, 1000);
+  EXPECT_TRUE(d.restricted);
+  EXPECT_TRUE(d.changed);
+
+  // One clean interval is not enough to widen.
+  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
+  EXPECT_TRUE(d.restricted);
+  EXPECT_FALSE(d.changed);
+  // Second consecutive clean interval widens.
+  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
+  EXPECT_FALSE(d.restricted);
+  EXPECT_TRUE(d.changed);
+}
+
+TEST(DynamicClassifierTest, ZeroUnrestrictIntervalsWidensImmediately) {
+  // unrestrict_intervals == 0 disables the hysteresis: the first clean
+  // interval widens (same as 1). This used to abort at construction.
+  policy::DynamicPolicyConfig cfg;
+  cfg.unrestrict_intervals = 0;
+  policy::ThresholdAllocator classifier(cfg, /*num_streams=*/1);
+
+  auto d = classifier.OnInterval(0, 0.5, 0.05, 1000);
+  EXPECT_TRUE(d.restricted);
+  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
+  EXPECT_FALSE(d.restricted);
+  EXPECT_TRUE(d.changed);
+}
+
+TEST(DynamicClassifierTest, BandwidthWithoutLookupsHoldsCleanStreak) {
+  // An interval that moved data (nonzero bandwidth share) without any
+  // demand LLC lookups is ambiguous — the idle hit_ratio default of 1.0
+  // says nothing about reuse (pure prefetch fills, or a stream stalled
+  // behind the DRAM queue). It must neither advance nor reset the clean
+  // streak.
+  policy::DynamicPolicyConfig cfg;
+  cfg.unrestrict_intervals = 2;
+  policy::ThresholdAllocator classifier(cfg, /*num_streams=*/1);
+
+  EXPECT_TRUE(classifier.OnInterval(0, 0.5, 0.05, 1000).restricted);
+  // Clean #1.
+  EXPECT_TRUE(classifier.OnInterval(0, 0.01, 0.9, 1000).restricted);
+  // Ambiguous: bandwidth but no lookups. Must not count as clean #2 ...
+  auto d = classifier.OnInterval(0, 0.5, 1.0, 0);
+  EXPECT_TRUE(d.restricted);
+  EXPECT_FALSE(d.changed);
+  // ... and must not have reset the streak either: one more clean interval
+  // completes the streak of two.
+  d = classifier.OnInterval(0, 0.01, 0.9, 1000);
+  EXPECT_FALSE(d.restricted);
+  EXPECT_TRUE(d.changed);
+
+  // A genuinely idle interval (no lookups, no bandwidth) still counts
+  // toward the streak.
+  EXPECT_TRUE(classifier.OnInterval(0, 0.5, 0.05, 1000).restricted);
+  classifier.OnInterval(0, 0.0, 1.0, 0);  // idle: clean #1
+  d = classifier.OnInterval(0, 0.0, 1.0, 0);  // idle: clean #2 -> widen
+  EXPECT_FALSE(d.restricted);
+  EXPECT_TRUE(d.changed);
+}
+
+TEST(DynamicClassifierTest, IdleIntervalDoesNotFlapRestriction) {
+  // The idle default (no lookups -> hit_ratio 1.0, bandwidth 0) used to
+  // widen a restricted polluter after a single quiet interval, producing
+  // restrict/widen flapping. With hysteresis the polluter stays put.
+  policy::DynamicPolicyConfig cfg;
+  cfg.unrestrict_intervals = 2;
+  policy::ThresholdAllocator classifier(cfg, /*num_streams=*/1);
+
+  uint32_t flips = 0;
+  auto feed = [&](double bw, double hr) {
+    // Idle intervals (bw == 0) carry no lookups; active ones do.
+    auto d = classifier.OnInterval(0, bw, hr, bw > 0.0 ? 1000 : 0);
+    if (d.changed) ++flips;
+    return d;
+  };
+  EXPECT_TRUE(feed(0.5, 0.05).restricted);  // restrict
+  // Alternate idle / polluting intervals: a classifier without hysteresis
+  // would flip twice per cycle; with the 2-interval streak it never widens.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(feed(0.0, 1.0).restricted);   // idle
+    EXPECT_TRUE(feed(0.5, 0.05).restricted);  // polluting again
+  }
+  EXPECT_EQ(flips, 1u);
+
+  // And a polluting interval resets the clean streak mid-count.
+  feed(0.0, 1.0);            // clean #1
+  feed(0.5, 0.05);           // polluter: streak resets
+  feed(0.0, 1.0);            // clean #1 again
+  auto d = feed(0.0, 1.0);   // clean #2: now it widens
+  EXPECT_FALSE(d.restricted);
+  EXPECT_TRUE(d.changed);
 }
 
 // --- Observation-only invariant ---
@@ -433,6 +541,48 @@ TEST(PolicyEngineTest, IntervalSamplesCarryMissRateCurves) {
   EXPECT_NE(json.find("\"kind\":\"policy\""), std::string::npos);
   EXPECT_NE(json.find("mrc_hits_at_ways"), std::string::npos);
   EXPECT_NE(json.find("\"allocator\":\"lookahead\""), std::string::npos);
+}
+
+TEST(PolicyEngineTest, ThresholdRunSamplesCarryNoMissRateCurves) {
+  // The threshold classifier reads only the interval counters, so the loop
+  // runs it without a shadow profiler: no curves in the samples or report.
+  EngineRig rig;
+  policy::DynamicPolicyConfig cfg;
+  cfg.interval_cycles = 100'000;
+  const auto rep = policy::RunWorkloadDynamic(
+      &rig.machine, {{&*rig.query, {0, 1}}}, /*horizon_cycles=*/600'000, cfg);
+  ASSERT_EQ(rep.interval_series.size(), 6u);
+  for (const obs::IntervalSample& sample : rep.interval_series) {
+    for (const obs::ClosIntervalSample& cs : sample.clos) {
+      EXPECT_TRUE(cs.mrc_hits_at_ways.empty());
+      EXPECT_EQ(cs.mrc_accesses, 0u);
+    }
+  }
+  obs::RunReportWriter writer("policy_test");
+  writer.AddDynamicRun("dynamic", rep);
+  const std::string json = writer.Json();
+  EXPECT_NE(json.find("\"kind\":\"dynamic\""), std::string::npos);
+  EXPECT_EQ(json.find("mrc_"), std::string::npos);
+}
+
+TEST(PolicyEngineTest, FullWidthRestrictionWritesNoSchemata) {
+  // With polluting_ways == llc_ways the restricted mask is the full mask:
+  // the stream is still classified and reported restricted, but the loop
+  // skips the no-op schemata write like it does for every allocator.
+  EngineRig rig;
+  policy::DynamicPolicyConfig cfg;
+  cfg.interval_cycles = 100'000;
+  cfg.polluting_ways = rig.machine.config().hierarchy.llc.num_ways;
+  // The first interval (cold misses) classifies the scan as polluting, and
+  // no later clean phase is long enough to widen it again.
+  cfg.polluter_bandwidth_share = 0.0;
+  cfg.polluter_hit_ratio = 1.0;
+  cfg.unrestrict_intervals = 100;
+  const auto rep = policy::RunWorkloadDynamic(
+      &rig.machine, {{&*rig.query, {0, 1}}}, /*horizon_cycles=*/600'000, cfg);
+  EXPECT_EQ(rep.restricted, std::vector<bool>{true});
+  EXPECT_EQ(rep.restricted_at_interval, std::vector<uint32_t>{1});
+  EXPECT_EQ(rep.schemata_writes, 0u);
 }
 
 }  // namespace

@@ -11,9 +11,9 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "engine/coscheduler.h"
-#include "engine/dynamic_policy.h"
 #include "engine/operators/column_scan.h"
 #include "engine/runner.h"
+#include "policy/way_allocator.h"
 #include "sim/executor.h"
 #include "storage/datagen.h"
 #include "workloads/tpch_gen.h"
@@ -210,21 +210,21 @@ TEST(PolicyValidationTest, ValidConfigStillProducesPaperMasks) {
 }
 
 TEST(PolicyValidationTest, DynamicConfigBounds) {
-  engine::DynamicPolicyConfig cfg;
-  EXPECT_TRUE(engine::ValidateDynamicPolicyConfig(cfg, 20).ok());
+  policy::DynamicPolicyConfig cfg;
+  EXPECT_TRUE(policy::ValidateDynamicPolicyConfig(cfg, 20).ok());
   cfg.interval_cycles = 0;
-  EXPECT_EQ(engine::ValidateDynamicPolicyConfig(cfg, 20).code(),
+  EXPECT_EQ(policy::ValidateDynamicPolicyConfig(cfg, 20).code(),
             StatusCode::kInvalidArgument);
   cfg.interval_cycles = 1'000'000;
   cfg.polluting_ways = 0;
-  EXPECT_EQ(engine::ValidateDynamicPolicyConfig(cfg, 20).code(),
+  EXPECT_EQ(policy::ValidateDynamicPolicyConfig(cfg, 20).code(),
             StatusCode::kInvalidArgument);
   cfg.polluting_ways = 21;
-  EXPECT_EQ(engine::ValidateDynamicPolicyConfig(cfg, 20).code(),
+  EXPECT_EQ(policy::ValidateDynamicPolicyConfig(cfg, 20).code(),
             StatusCode::kInvalidArgument);
   cfg.polluting_ways = 2;
   cfg.polluter_bandwidth_share = 1.5;
-  EXPECT_EQ(engine::ValidateDynamicPolicyConfig(cfg, 20).code(),
+  EXPECT_EQ(policy::ValidateDynamicPolicyConfig(cfg, 20).code(),
             StatusCode::kInvalidArgument);
 }
 
