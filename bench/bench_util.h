@@ -6,7 +6,6 @@
 // and prints a paper-style table of normalized throughputs.
 
 #include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,27 +35,16 @@ namespace catdb::bench {
 ///   --smoke              CI mode: run one cell of each sweep at a short
 ///                        horizon — exercises the full pipeline in seconds
 ///                        (results are not meaningful as measurements)
-///   --selfperf-horizon=<cycles>
-///                        override the self-benchmark's measurement horizon
-///                        (selfperf_sim only; lets CI run it short)
-///   --min-batched-ratio=<x>
-///                        fail (exit 1) if any workload's batched leg falls
-///                        below x times the scalar leg's accesses/sec
-///                        (selfperf_sim only; CI uses it to turn batched-
-///                        path regressions into a checked invariant)
-/// Arguments without a leading "--" are collected as positionals (benches
-/// that take output paths, e.g. selfperf_sim, read them from there).
+/// Anything else, including an argument without a leading "--", is a usage
+/// error: a forgotten "--report-out=" must not silently drop the report.
 struct BenchOptions {
   std::string report_out;
   std::string trace_out;
   unsigned jobs = 0;  // resolved to >= 1 by ParseBenchArgs
   bool smoke = false;
-  uint64_t selfperf_horizon = 0;   // 0 = the bench's default
-  double min_batched_ratio = 0;    // 0 = no enforcement
-  std::vector<std::string> positional;
 };
 
-/// Strict numeric flag parsers. All three require the full string to parse,
+/// Strict numeric flag parsers. Both require the full string to parse,
 /// reject range errors (errno == ERANGE) instead of accepting the silently
 /// clamped value — `--jobs=99999999999999999999` must fail, not run with
 /// LONG_MAX — and enforce positivity. Exposed (rather than folded into
@@ -84,20 +72,6 @@ inline bool ParsePositiveU64(const char* s, uint64_t* out) {
   return true;
 }
 
-inline bool ParsePositiveDouble(const char* s, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double x = std::strtod(s, &end);
-  // ERANGE covers both overflow (HUGE_VAL) and underflow; the finiteness
-  // check additionally rejects literal "inf"/"nan" spellings.
-  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(x) ||
-      x <= 0) {
-    return false;
-  }
-  *out = x;
-  return true;
-}
-
 /// Parses the shared flags; exits with usage on anything unrecognized.
 inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions opts;
@@ -120,32 +94,13 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                      v);
         std::exit(2);
       }
-    } else if (const char* v = value_of("--selfperf-horizon")) {
-      if (!ParsePositiveU64(v, &opts.selfperf_horizon)) {
-        std::fprintf(stderr,
-                     "--selfperf-horizon expects a positive cycle count in "
-                     "range, got: %s\n",
-                     v);
-        std::exit(2);
-      }
-    } else if (const char* v = value_of("--min-batched-ratio")) {
-      if (!ParsePositiveDouble(v, &opts.min_batched_ratio)) {
-        std::fprintf(stderr,
-                     "--min-batched-ratio expects a positive finite number, "
-                     "got: %s\n",
-                     v);
-        std::exit(2);
-      }
     } else if (arg == "--smoke") {
       opts.smoke = true;
-    } else if (arg.compare(0, 2, "--") != 0) {
-      opts.positional.push_back(arg);
     } else {
       std::fprintf(stderr,
                    "unknown argument: %s\n"
                    "usage: %s [--report-out=<path>] [--trace-out=<path>] "
-                   "[--jobs=<n>] [--selfperf-horizon=<cycles>] "
-                   "[--min-batched-ratio=<x>] [--smoke] [positional...]\n",
+                   "[--jobs=<n>] [--smoke]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }

@@ -10,6 +10,7 @@
 // the repartitioning cost asymmetry.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "engine/operators/aggregation.h"
@@ -18,8 +19,12 @@
 
 using namespace catdb;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
+  const uint64_t horizon = bench::HorizonFor(opts);
+  // --trace-out traces this machine: the colored data and its runs.
   sim::Machine machine{sim::MachineConfig{}};
+  bench::ApplyTraceOption(&machine, opts);
   const uint32_t colors = machine.num_page_colors();
   // 10 % of the colors for the scan — the coloring analogue of mask 0x3.
   const uint32_t scan_colors = colors >= 10 ? colors / 10 : 1;
@@ -60,13 +65,11 @@ int main() {
   // Baselines: isolated (coloring does not matter when alone — each party
   // still owns its colors, so isolated numbers are the colored ones).
   const double iso_agg =
-      engine::RunWorkload(&machine, {{&agg, bench::kCoresA}},
-                          bench::kDefaultHorizon, off)
+      engine::RunWorkload(&machine, {{&agg, bench::kCoresA}}, horizon, off)
           .streams[0]
           .iterations;
   const double iso_scan =
-      engine::RunWorkload(&machine, {{&scan, bench::kCoresB}},
-                          bench::kDefaultHorizon, off)
+      engine::RunWorkload(&machine, {{&scan, bench::kCoresB}}, horizon, off)
           .streams[0]
           .iterations;
 
@@ -74,7 +77,7 @@ int main() {
   // page-coloring scheme.
   auto coloring = engine::RunWorkload(
       &machine, {{&agg, bench::kCoresA}, {&scan, bench::kCoresB}},
-      bench::kDefaultHorizon, off);
+      horizon, off);
   // Adding CAT on top would double-partition; instead compare against CAT
   // alone on uncolored data, which needs a second, uncolored copy.
   sim::Machine machine2{sim::MachineConfig{}};
@@ -91,33 +94,45 @@ int main() {
   scan2.AttachSim(&machine2);
   agg2.AttachSim(&machine2);
   const double iso_agg2 =
-      engine::RunWorkload(&machine2, {{&agg2, bench::kCoresA}},
-                          bench::kDefaultHorizon, off)
+      engine::RunWorkload(&machine2, {{&agg2, bench::kCoresA}}, horizon, off)
           .streams[0]
           .iterations;
   const double iso_scan2 =
-      engine::RunWorkload(&machine2, {{&scan2, bench::kCoresB}},
-                          bench::kDefaultHorizon, off)
+      engine::RunWorkload(&machine2, {{&scan2, bench::kCoresB}}, horizon, off)
           .streams[0]
           .iterations;
   auto shared = engine::RunWorkload(
       &machine2, {{&agg2, bench::kCoresA}, {&scan2, bench::kCoresB}},
-      bench::kDefaultHorizon, off);
+      horizon, off);
   auto cat = engine::RunWorkload(
       &machine2, {{&agg2, bench::kCoresA}, {&scan2, bench::kCoresB}},
-      bench::kDefaultHorizon, cat_on);
+      horizon, cat_on);
 
+  struct Scheme {
+    const char* label;
+    std::string key;
+    const engine::RunReport* run;
+    double iso_agg;
+    double iso_scan;
+  };
+  const Scheme schemes[] = {
+      {"shared cache", "shared", &shared, iso_agg2, iso_scan2},
+      {"CAT (scan -> 2 ways)", "cat", &cat, iso_agg2, iso_scan2},
+      {"page coloring (10% colors)", "coloring", &coloring, iso_agg,
+       iso_scan},
+  };
+  obs::RunReportWriter report("ext_page_coloring");
+  report.AddParam("horizon_cycles", horizon);
   std::printf("%-26s %12s %12s\n", "scheme", "agg (norm.)", "scan (norm.)");
   bench::PrintRule(54);
-  std::printf("%-26s %12.2f %12.2f\n", "shared cache",
-              shared.streams[0].iterations / iso_agg2,
-              shared.streams[1].iterations / iso_scan2);
-  std::printf("%-26s %12.2f %12.2f\n", "CAT (scan -> 2 ways)",
-              cat.streams[0].iterations / iso_agg2,
-              cat.streams[1].iterations / iso_scan2);
-  std::printf("%-26s %12.2f %12.2f\n", "page coloring (10% colors)",
-              coloring.streams[0].iterations / iso_agg,
-              coloring.streams[1].iterations / iso_scan);
+  for (const Scheme& s : schemes) {
+    const double agg_norm = s.run->streams[0].iterations / s.iso_agg;
+    const double scan_norm = s.run->streams[1].iterations / s.iso_scan;
+    std::printf("%-26s %12.2f %12.2f\n", s.label, agg_norm, scan_norm);
+    report.AddRun(s.key, *s.run);
+    report.AddScalar(s.key + "/norm_agg", agg_norm);
+    report.AddScalar(s.key + "/norm_scan", scan_norm);
+  }
   bench::PrintRule(54);
 
   // Repartitioning cost asymmetry: CAT repartitions with one register/
@@ -137,5 +152,6 @@ int main() {
       "\nBoth schemes eliminate pollution; coloring also fences the scan's\n"
       "*sets* (data-side) while CAT fences ways (core-side). The paper\n"
       "prefers CAT for in-memory engines because repartitioning is free.\n");
+  bench::FinishBench(&machine, opts, &report);
   return 0;
 }

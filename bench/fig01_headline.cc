@@ -14,6 +14,7 @@ using namespace catdb;
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
+  const uint64_t horizon = bench::HorizonFor(opts);
   sim::Machine machine{sim::MachineConfig{}};
   bench::ApplyTraceOption(&machine, opts);
 
@@ -30,10 +31,10 @@ int main(int argc, char** argv) {
   olap.AttachSim(&machine);
 
   const auto r = bench::RunPair(&machine, oltp.get(), &olap,
-                                engine::PolicyConfig{});
+                                engine::PolicyConfig{}, horizon);
 
   // One OLTP iteration = one point query per worker batch slot.
-  const double sim_seconds = CyclesToSeconds(bench::kDefaultHorizon);
+  const double sim_seconds = CyclesToSeconds(horizon);
   const double per_iter =
       static_cast<double>(oltp->batch_size()) * bench::kCoresA.size();
   auto qps = [&](double iterations) {
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
       "most of the isolated throughput without hurting the scan.\n");
 
   obs::RunReportWriter report("fig01_headline");
-  report.AddParam("horizon_cycles", bench::kDefaultHorizon);
+  report.AddParam("horizon_cycles", horizon);
   report.AddScalar("oltp_qps_isolated", qps(r.iso_a));
   report.AddScalar("oltp_qps_concurrent", qps(r.conc_a));
   report.AddScalar("oltp_qps_partitioned", qps(r.part_a));

@@ -19,13 +19,13 @@ namespace {
 void RunCase(sim::Machine* machine, const workloads::AcdocaData& acdoca,
              const storage::DictColumn* scan_column, const char* label,
              const std::string& report_key, obs::RunReportWriter* report,
-             bool big, uint32_t columns, uint64_t seed) {
+             uint64_t horizon, bool big, uint32_t columns, uint64_t seed) {
   auto oltp = workloads::MakeOltpQuery(acdoca, big, columns, seed);
   oltp->AttachSim(machine);
   engine::ColumnScanQuery scan(scan_column, seed + 1);
 
   const auto r = bench::RunPair(machine, oltp.get(), &scan,
-                                engine::PolicyConfig{});
+                                engine::PolicyConfig{}, horizon);
   bench::AddPairResult(report, report_key, r);
   std::printf("%-28s | %8.2f %8.2f %6.0f%% | %8.2f %8.2f | ws %.2f MiB\n",
               label, r.norm_conc_a(), r.norm_part_a(),
@@ -38,6 +38,8 @@ void RunCase(sim::Machine* machine, const workloads::AcdocaData& acdoca,
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
+  // --smoke: case (a) only, at the short horizon, without the sweep.
+  const uint64_t horizon = bench::HorizonFor(opts);
   sim::Machine machine{sim::MachineConfig{}};
   bench::ApplyTraceOption(&machine, opts);
   obs::RunReportWriter report("fig12_oltp_olap");
@@ -55,22 +57,27 @@ int main(int argc, char** argv) {
   std::printf("%-28s | %8s %8s %7s | %8s %8s |\n", "projection",
               "OLTP conc", "part", "gain", "scan conc", "part");
   bench::PrintRule(96);
-  RunCase(&machine, *acdoca, &scan_data.column,
-          "(a) 13 big-dict columns", "a_13big", &report, true, 13, 1410);
-  RunCase(&machine, *acdoca, &scan_data.column,
-          "(b) 6 small-dict columns", "b_6small", &report, false, 6, 1420);
-  bench::PrintRule(96);
-
-  std::printf(
-      "\nSection VI-E sweep — projected (big-dictionary) column count\n");
-  bench::PrintRule(96);
-  for (uint32_t k = 2; k <= 13; ++k) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "%2u columns", k);
-    RunCase(&machine, *acdoca, &scan_data.column, label,
-            "sweep/columns" + std::to_string(k), &report, true, k, 1430 + k);
+  RunCase(&machine, *acdoca, &scan_data.column, "(a) 13 big-dict columns",
+          "a_13big", &report, horizon, true, 13, 1410);
+  if (!opts.smoke) {
+    RunCase(&machine, *acdoca, &scan_data.column, "(b) 6 small-dict columns",
+            "b_6small", &report, horizon, false, 6, 1420);
   }
   bench::PrintRule(96);
+
+  if (!opts.smoke) {
+    std::printf(
+        "\nSection VI-E sweep — projected (big-dictionary) column count\n");
+    bench::PrintRule(96);
+    for (uint32_t k = 2; k <= 13; ++k) {
+      char label[32];
+      std::snprintf(label, sizeof(label), "%2u columns", k);
+      RunCase(&machine, *acdoca, &scan_data.column, label,
+              "sweep/columns" + std::to_string(k), &report, horizon, true, k,
+              1430 + k);
+    }
+    bench::PrintRule(96);
+  }
   std::printf(
       "Paper: OLTP drops to 66%%/68%% (13/6 columns); partitioning regains\n"
       "+13%%/+9%%, and the gain grows with the number of projected columns\n"

@@ -35,6 +35,7 @@ using namespace catdb;
 namespace {
 
 struct RunnerArgs {
+  std::string file;          // <file.json>
   std::string builtin;       // --builtin=<name>
   std::string dump_builtin;  // --dump-builtin=<name>
   bool fuzz = false;         // --fuzz
@@ -51,8 +52,8 @@ struct RunnerArgs {
   std::exit(2);
 }
 
-/// Splits this binary's own flags from the common bench flags; the
-/// remainder (including positionals) goes to ParseBenchArgs, which owns
+/// Splits this binary's own flags and its scenario file from the common
+/// bench flags; the remainder goes to ParseBenchArgs, which owns
 /// --jobs/--smoke/--report-out/... and rejects anything it doesn't know.
 RunnerArgs ExtractRunnerArgs(int* argc, char** argv) {
   RunnerArgs out;
@@ -73,6 +74,9 @@ RunnerArgs ExtractRunnerArgs(int* argc, char** argv) {
       if (!bench::ParsePositiveU64(arg + 12, &out.fuzz_seed)) {
         UsageError("--fuzz-seed expects a positive integer");
       }
+    } else if (std::strncmp(arg, "--", 2) != 0) {
+      if (!out.file.empty()) UsageError("expected exactly one scenario file");
+      out.file = arg;
     } else {
       argv[kept++] = argv[i];
     }
@@ -145,7 +149,7 @@ int main(int argc, char** argv) {
 
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
   if (args.fuzz) {
-    if (!args.builtin.empty() || !opts.positional.empty()) {
+    if (!args.builtin.empty() || !args.file.empty()) {
       UsageError("--fuzz does not take a scenario");
     }
     return RunFuzz(args, opts);
@@ -153,7 +157,7 @@ int main(int argc, char** argv) {
 
   plan::Scenario scenario;
   if (!args.builtin.empty()) {
-    if (!opts.positional.empty()) {
+    if (!args.file.empty()) {
       UsageError("give either --builtin=<name> or a scenario file, not both");
     }
     const Status st = plan::BuiltinScenario(args.builtin, &scenario);
@@ -162,14 +166,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    if (opts.positional.size() != 1) {
-      UsageError("expected exactly one scenario file");
-    }
+    if (args.file.empty()) UsageError("expected exactly one scenario file");
     std::string text;
-    Status st = plan::ReadTextFile(opts.positional[0], &text);
+    Status st = plan::ReadTextFile(args.file, &text);
     if (st.ok()) st = plan::ScenarioFromText(text, &scenario);
     if (!st.ok()) {
-      std::fprintf(stderr, "%s: %s\n", opts.positional[0].c_str(),
+      std::fprintf(stderr, "%s: %s\n", args.file.c_str(),
                    st.ToString().c_str());
       return 1;
     }

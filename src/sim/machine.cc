@@ -167,7 +167,7 @@ uint32_t Machine::PageColorOf(uint64_t vaddr) const {
 }
 
 void Machine::PointAccess(uint32_t core, uint64_t addr) {
-  // Host profiling (selfperf breakdown leg only): the whole point chain —
+  // Host profiling (profiled passes only): the whole point chain —
   // memo validation, translation, the hierarchy walk — books under one
   // bucket, like the scalar chain it replaces. Unprofiled runs pay a single
   // predictable branch.
@@ -210,7 +210,7 @@ void Machine::AccessRun(uint32_t core, uint64_t addr, uint64_t n_lines,
   if (n_lines == 0) return;
   if (!config_.batched_runs) {
     // Scalar decomposition: same lines, same order, same per-access call
-    // chain — the baseline leg the self-benchmark measures against.
+    // chain — the `scalar` regime the equivalence tests compare against.
     for (uint64_t i = 0; i < n_lines; ++i) {
       PointAccess(core, addr + i * simcache::kLineSize);
     }

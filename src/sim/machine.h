@@ -30,8 +30,8 @@ struct MachineConfig {
   /// MemoryHierarchy::AccessRun fast path; if false, runs decompose into the
   /// scalar per-line Access chain. Both produce bit-identical simulated
   /// cycles, statistics and reports (pinned by tests/batched_access_test.cc
-  /// and the determinism goldens); the flag exists so the self-benchmark can
-  /// measure the batching speedup and tests can pin the equivalence.
+  /// and the determinism goldens); the flag exists so those tests and the
+  /// plan fuzzer's `scalar` regime can pin the equivalence.
   bool batched_runs = true;
 };
 

@@ -35,8 +35,8 @@ struct HierarchyConfig {
   /// baseline, AVX2 when detected; demoted process-wide by the
   /// CATDB_NO_SIMD environment variable). If false, the caches run their
   /// fused one-pass scalar loops instead — different code from the
-  /// dispatched two-pass scans, so the nosimd fuzz regime and the selfperf
-  /// simd_off leg check one against the other. Simulated results are
+  /// dispatched two-pass scans, so the nosimd fuzz regime and the regime
+  /// determinism golden check one against the other. Simulated results are
   /// identical either way.
   bool simd = true;
 };

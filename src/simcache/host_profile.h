@@ -45,9 +45,9 @@ inline uint64_t HostTimerNow() {
 /// loop time each component; the Machine adds page-translation and
 /// whole-scalar-access buckets. Profiling is template-gated: with no
 /// profiler attached the run loop compiles without any timer reads, so
-/// measured (unprofiled) legs pay nothing. selfperf_sim runs a separate
-/// profiled leg and emits the breakdown into its report so each optimization
-/// round starts from measurement instead of guesswork.
+/// measured (unprofiled) runs pay nothing. hostbench's traced run makes a
+/// separate profiled pass and reports the breakdown as per-layer metrics, so
+/// each optimization round starts from measurement instead of guesswork.
 struct HostCycleBreakdown {
   uint64_t l1_lookup = 0;      // demand L1 probes (hit + miss)
   uint64_t l2_lookup = 0;      // demand L2 probes

@@ -1,12 +1,15 @@
 // Tests for the shared bench helpers (bench/bench_util.h): the strict
-// ERANGE-checked flag parsers that back ParseBenchArgs, and
-// WarmIterationCycles' single-iteration behaviour (an off-by-one that used
-// to index out of bounds when a bench asked for fewer than two iterations).
+// ERANGE-checked flag parsers, ParseBenchArgs' rejection of anything that
+// is not one of its four flags, and WarmIterationCycles' single-iteration
+// behaviour (an off-by-one that used to index out of bounds when a bench
+// asked for fewer than two iterations).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "engine/operators/column_scan.h"
@@ -60,24 +63,37 @@ TEST(BenchArgParsingTest, PositiveU64RejectsNegativeZeroAndOverflow) {
   EXPECT_FALSE(bench::ParsePositiveU64("1e5", &v));  // not an integer
 }
 
-TEST(BenchArgParsingTest, PositiveDoubleAcceptsFinitePositives) {
-  double v = 0;
-  EXPECT_TRUE(bench::ParsePositiveDouble("0.5", &v));
-  EXPECT_DOUBLE_EQ(v, 0.5);
-  EXPECT_TRUE(bench::ParsePositiveDouble("1e3", &v));
-  EXPECT_DOUBLE_EQ(v, 1000.0);
+// --- ParseBenchArgs ---
+
+// Runs ParseBenchArgs on `args`, supplying argv[0].
+bench::BenchOptions ParseArgs(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return bench::ParseBenchArgs(static_cast<int>(argv.size()), argv.data());
 }
 
-TEST(BenchArgParsingTest, PositiveDoubleRejectsNonFiniteAndOutOfRange) {
-  double v = 0;
-  EXPECT_FALSE(bench::ParsePositiveDouble("", &v));
-  EXPECT_FALSE(bench::ParsePositiveDouble("abc", &v));
-  EXPECT_FALSE(bench::ParsePositiveDouble("3.5x", &v));
-  EXPECT_FALSE(bench::ParsePositiveDouble("0", &v));
-  EXPECT_FALSE(bench::ParsePositiveDouble("-2", &v));
-  EXPECT_FALSE(bench::ParsePositiveDouble("inf", &v));
-  EXPECT_FALSE(bench::ParsePositiveDouble("nan", &v));
-  EXPECT_FALSE(bench::ParsePositiveDouble("1e999", &v));  // overflow: ERANGE
+TEST(BenchArgParsingTest, AcceptsTheFourSharedFlags) {
+  const bench::BenchOptions opts = ParseArgs(
+      {"--report-out=r.json", "--trace-out=t.json", "--jobs=3", "--smoke"});
+  EXPECT_EQ(opts.report_out, "r.json");
+  EXPECT_EQ(opts.trace_out, "t.json");
+  EXPECT_EQ(opts.jobs, 3u);
+  EXPECT_TRUE(opts.smoke);
+}
+
+// A report path given without "--report-out=" must fail loudly instead of
+// running to completion and writing nothing.
+TEST(BenchArgParsingDeathTest, StrayArgumentIsAUsageError) {
+  EXPECT_EXIT(ParseArgs({"--smoke", "report.json"}),
+              ::testing::ExitedWithCode(2),
+              "unknown argument: report\\.json");
+}
+
+TEST(BenchArgParsingDeathTest, UnknownFlagIsAUsageError) {
+  EXPECT_EXIT(ParseArgs({"--selfperf-horizon=5"}),
+              ::testing::ExitedWithCode(2),
+              "unknown argument: --selfperf-horizon=5");
 }
 
 // --- WarmIterationCycles ---

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,11 +17,14 @@
 #include "engine/operators/column_scan.h"
 #include "engine/runner.h"
 #include "obs/trace.h"
+#include "plan/fuzz.h"
 #include "policy/policy_engine.h"
 #include "sim/executor.h"
 #include "sim/machine.h"
 #include "workloads/micro.h"
 #include "workloads/s4hana.h"
+#include "workloads/tpch_gen.h"
+#include "workloads/tpch_queries.h"
 
 namespace catdb {
 namespace {
@@ -225,12 +230,10 @@ void ExpectReportsIdentical(const engine::RunReport& a,
 
 // fig01-shaped golden: constructing the whole stack twice from scratch
 // (machine, datasets, queries) must reproduce the report exactly,
-// scheduler counters included.
-engine::RunReport RunOltpScanGolden(bool traced = false,
-                                    bool batched_runs = true) {
-  sim::MachineConfig cfg;
-  cfg.batched_runs = batched_runs;
-  sim::Machine machine{cfg};
+// scheduler counters included. `regime` indexes the plan fuzzer's executor
+// regimes (plan::FuzzRegimeConfig; 0 is the default machine).
+engine::RunReport RunOltpScanGolden(size_t regime = 0, bool traced = false) {
+  sim::Machine machine{plan::FuzzRegimeConfig(regime)};
   if (traced) machine.EnableTracing();
   auto acdoca = workloads::MakeAcdocaData(&machine, {});
   auto scan_data = workloads::MakeScanDataset(
@@ -248,6 +251,32 @@ engine::RunReport RunOltpScanGolden(bool traced = false,
                              20'000'000, on);
 }
 
+// fig11-shaped golden: TPC-H Q1, which decodes the LLC-sized
+// L_EXTENDEDPRICE dictionary, against a column scan confined by
+// partitioning. The row counts are reduced; the dictionary is not.
+engine::RunReport RunTpchScanGolden(size_t regime) {
+  sim::Machine machine{plan::FuzzRegimeConfig(regime)};
+  workloads::TpchConfig tpch_cfg;
+  tpch_cfg.lineitem_rows = 1u << 16;
+  tpch_cfg.orders_rows = 1u << 14;
+  tpch_cfg.part_count = 2000;
+  tpch_cfg.supplier_count = 100;
+  tpch_cfg.customer_count = 1500;
+  auto tpch = workloads::MakeTpchData(&machine, tpch_cfg);
+  auto scan_data = workloads::MakeScanDataset(
+      &machine, 1u << 20,
+      workloads::DictEntriesForRatio(machine, workloads::kDictRatioSmall),
+      /*seed=*/61);
+  auto q1 = workloads::MakeTpchQuery(1, *tpch, /*seed=*/62);
+  engine::ColumnScanQuery scan(&scan_data.column, /*seed=*/63);
+  q1->AttachSim(&machine);
+  scan.AttachSim(&machine);
+  engine::PolicyConfig on;
+  on.enabled = true;
+  return engine::RunWorkload(&machine, {{q1.get(), kA}, {&scan, kB}},
+                             10'000'000, on);
+}
+
 TEST(DeterminismGoldenTest, OltpScanReportIdenticalAcrossFreshMachines) {
   const engine::RunReport r1 = RunOltpScanGolden();
   const engine::RunReport r2 = RunOltpScanGolden();
@@ -256,18 +285,28 @@ TEST(DeterminismGoldenTest, OltpScanReportIdenticalAcrossFreshMachines) {
   EXPECT_GT(r1.clos_reassociations, 0u);
 }
 
-// The run-granular access fast path must not move a single counter of a
-// full workload run: batched and scalar machines produce bit-identical
-// reports end to end (operators, scheduler, dynamic policy included). The
-// per-access equivalence lives in batched_access_test.cc; this golden pins
+// Host-side execution regimes must not move a single counter of a full
+// workload run: the scalar access loop (batched_runs off) and the fused
+// scalar way scan (hierarchy simd off) reproduce the default machine's
+// report end to end, operators and scheduler included, on both the fig01
+// and the fig11 shape. The per-access equivalence lives in
+// batched_access_test.cc and the model-hierarchy tests; this golden pins
 // the whole stack.
 TEST(DeterminismGoldenTest, BatchedRunsReportIdenticalToScalarRuns) {
-  const engine::RunReport batched =
-      RunOltpScanGolden(/*traced=*/false, /*batched_runs=*/true);
-  const engine::RunReport scalar =
-      RunOltpScanGolden(/*traced=*/false, /*batched_runs=*/false);
-  ExpectReportsIdentical(batched, scalar);
-  EXPECT_GT(batched.stats.dram_accesses, 0u);
+  const std::pair<const char*, std::function<engine::RunReport(size_t)>>
+      shapes[] = {
+          {"oltp_scan", [](size_t r) { return RunOltpScanGolden(r); }},
+          {"tpch_q1_scan", RunTpchScanGolden},
+      };
+  for (const auto& [shape, run] : shapes) {
+    const engine::RunReport reference = run(0);
+    EXPECT_GT(reference.stats.dram_accesses, 0u) << shape;
+    EXPECT_GT(reference.clos_reassociations, 0u) << shape;
+    for (size_t r = 1; r < plan::kNumFuzzRegimes; ++r) {
+      SCOPED_TRACE(std::string(shape) + " under " + plan::FuzzRegimeName(r));
+      ExpectReportsIdentical(reference, run(r));
+    }
+  }
 }
 
 policy::DynamicRunReport RunDynamicGolden(bool traced = false) {
@@ -307,8 +346,9 @@ TEST(DeterminismGoldenTest, DynamicPolicyReportIdenticalAcrossFreshMachines) {
 // cycle: traced and untraced runs of the same workload produce
 // bit-identical reports.
 TEST(TracingDeterminismTest, TracedOltpScanMatchesUntraced) {
-  const engine::RunReport untraced = RunOltpScanGolden(false);
-  const engine::RunReport traced = RunOltpScanGolden(true);
+  const engine::RunReport untraced = RunOltpScanGolden();
+  const engine::RunReport traced =
+      RunOltpScanGolden(/*regime=*/0, /*traced=*/true);
   ExpectReportsIdentical(untraced, traced);
 }
 

@@ -16,12 +16,6 @@ through:
     the canonical scenario text — so a truncated or hand-edited section
     cannot masquerade as a scenario provenance stamp.
 
-Scaling artifacts (BENCH_parallel.json: a top-level `benchmark` name plus
-`conclusive` flags instead of a schema tag) are validated too: the same
-null/NaN rejection applies, and any scaling section whose `conclusive` flag
-is false is reported as a WARNING instead of a silent "ok" — a 1-core CI
-container cannot measure scaling, and the check's output must say so.
-
 Usage: check_report.py <report.json> [<report.json> ...]
 """
 
@@ -63,36 +57,6 @@ def find_null(value, path):
     return None
 
 
-def find_inconclusive(value, path):
-    """Returns the JSON paths of every object whose `conclusive` is false."""
-    found = []
-    if isinstance(value, dict):
-        if value.get("conclusive") is False:
-            found.append(path)
-        for k, v in value.items():
-            found.extend(find_inconclusive(v, f"{path}.{k}"))
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            found.extend(find_inconclusive(v, f"{path}[{i}]"))
-    return found
-
-
-def check_scaling(path, doc):
-    """BENCH_parallel-style scaling artifact: no schema tag, but `benchmark`
-    and `conclusive` at the top level. Inconclusive sections warn — they are
-    legitimate on small hosts, but must never pass silently as if a scaling
-    claim had been measured."""
-    if not isinstance(doc.get("conclusive"), bool):
-        fail(f"{path}: scaling artifact missing boolean `conclusive`")
-    inconclusive = find_inconclusive(doc, "$")
-    if inconclusive:
-        cores = doc.get("host_cores")
-        for where in inconclusive:
-            print(f"WARNING: {path}: scaling section {where} is inconclusive "
-                  f"(host_cores={cores}) — not a measured scaling ceiling")
-    print(f"ok: {path} (scaling artifact, conclusive={doc['conclusive']})")
-
-
 def check_scenario_entry(path, i, entry):
     where = f"{path}: results[{i}]"
     summary = entry.get("scenario")
@@ -124,10 +88,6 @@ def check(path):
     null_path = find_null(report, "$")
     if null_path:
         fail(f"{path}: null at {null_path} (a non-finite double upstream?)")
-    if "schema" not in report and "benchmark" in report and \
-            "conclusive" in report:
-        check_scaling(path, report)
-        return
     if report.get("schema") != SCHEMA:
         fail(f"{path}: schema is {report.get('schema')!r}, want {SCHEMA!r}")
     results = report.get("results")
