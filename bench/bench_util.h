@@ -22,6 +22,8 @@
 #include "harness/thread_pool.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "plan/scenario.h"
+#include "plan/scenario_exec.h"
 #include "sim/machine.h"
 
 namespace catdb::bench {
@@ -35,8 +37,9 @@ namespace catdb::bench {
 ///   --smoke              CI mode: run one cell of each sweep at a short
 ///                        horizon — exercises the full pipeline in seconds
 ///                        (results are not meaningful as measurements)
-/// Anything else, including an argument without a leading "--", is a usage
-/// error: a forgotten "--report-out=" must not silently drop the report.
+/// Anything else, including an argument without a leading "--" or an empty
+/// output path, is a usage error: a forgotten "--report-out=" or an unset
+/// "$OUT" must not silently drop the report.
 struct BenchOptions {
   std::string report_out;
   std::string trace_out;
@@ -77,6 +80,14 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    auto usage_error = [&](const char* what) {
+      std::fprintf(stderr,
+                   "%s: %s\n"
+                   "usage: %s [--report-out=<path>] [--trace-out=<path>] "
+                   "[--jobs=<n>] [--smoke]\n",
+                   what, arg.c_str(), argv[0]);
+      std::exit(2);
+    };
     auto value_of = [&](const char* flag) -> const char* {
       const size_t n = std::strlen(flag);
       if (arg.compare(0, n, flag) != 0) return nullptr;
@@ -84,8 +95,10 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       return nullptr;
     };
     if (const char* v = value_of("--report-out")) {
+      if (*v == '\0') usage_error("empty output path");
       opts.report_out = v;
     } else if (const char* v = value_of("--trace-out")) {
+      if (*v == '\0') usage_error("empty output path");
       opts.trace_out = v;
     } else if (const char* v = value_of("--jobs")) {
       if (!ParsePositiveUnsigned(v, &opts.jobs)) {
@@ -97,12 +110,7 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     } else if (arg == "--smoke") {
       opts.smoke = true;
     } else {
-      std::fprintf(stderr,
-                   "unknown argument: %s\n"
-                   "usage: %s [--report-out=<path>] [--trace-out=<path>] "
-                   "[--jobs=<n>] [--smoke]\n",
-                   arg.c_str(), argv[0]);
-      std::exit(2);
+      usage_error("unknown argument");
     }
   }
   if (opts.jobs == 0) opts.jobs = harness::ThreadPool::DefaultJobs();
@@ -183,6 +191,40 @@ inline void FinishSweepBench(harness::SweepRunner* runner,
     std::printf("trace:  %s (%zu events, cell-ordered)\n",
                 opts.trace_out.c_str(), merged.size());
   }
+}
+
+/// Reads and validates the scenario file at `path` (the scenario-backed
+/// benches pass CATDB_SCENARIO_DIR "/<benchmark>.json"). On failure prints
+/// the path and the parser's message, which names the offending JSON path,
+/// and exits 1.
+inline plan::Scenario LoadScenarioFile(const std::string& path) {
+  std::string text;
+  plan::Scenario scenario;
+  Status st = plan::ReadTextFile(path, &text);
+  if (st.ok()) st = plan::ScenarioFromText(text, &scenario);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), st.ToString().c_str());
+    std::exit(1);
+  }
+  return scenario;
+}
+
+/// Runs `scenario` with the bench flags (--jobs, --smoke, and tracing when
+/// --trace-out was given); exits 1 with the error if the run fails. Hand
+/// the result's runner to FinishSweepBench.
+inline plan::ScenarioRunResult RunScenarioWithFlags(
+    const plan::Scenario& scenario, const BenchOptions& opts) {
+  plan::ExecOptions exec;
+  exec.jobs = opts.jobs;
+  exec.smoke = opts.smoke;
+  exec.tracing = !opts.trace_out.empty();
+  plan::ScenarioRunResult result;
+  const Status st = plan::RunScenario(scenario, exec, &result);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+  return result;
 }
 
 // The experiment primitives (core split, horizons, way sweep, RunPair /

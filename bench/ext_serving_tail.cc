@@ -19,34 +19,27 @@
 // the hardware CLOS limit (16): the clustered policies serve them through
 // max_clusters resource groups, which is the point of clustering.
 //
-// The experiment itself is the builtin serving scenario (src/plan/): this
-// main executes it through the generic scenario executor — the same code
-// path bench/scenario_runner takes with scenarios/ext_serving_tail.json —
-// and keeps only the paper-style stdout tables. Every (load, policy) pair
-// is one independent sweep cell — own machine, own arrival trace (same
-// seed across policies at equal load, so policies face the identical
-// workload) — and the report is byte-identical for any --jobs value.
+// The experiment itself is scenarios/ext_serving_tail.json: this main runs
+// that file through the generic scenario executor — the same code path
+// bench/scenario_runner takes — and keeps only the paper-style stdout
+// tables. Every (load, policy) pair is one independent sweep cell — own
+// machine, own arrival trace (same seed across policies at equal load, so
+// policies face the identical workload) — and the report is byte-identical
+// for any --jobs value.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "plan/builtin_scenarios.h"
-#include "plan/scenario_exec.h"
 
 using namespace catdb;
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
 
-  plan::ExecOptions exec;
-  exec.jobs = opts.jobs;
-  exec.smoke = opts.smoke;
-  exec.tracing = !opts.trace_out.empty();
-
-  const plan::Scenario scenario = plan::ServingMixScenario();
-  plan::ScenarioRunResult result;
-  const Status st = plan::RunScenario(scenario, exec, &result);
-  CATDB_CHECK(st.ok());
+  const plan::Scenario scenario =
+      bench::LoadScenarioFile(CATDB_SCENARIO_DIR "/ext_serving_tail.json");
+  plan::ScenarioRunResult result =
+      bench::RunScenarioWithFlags(scenario, opts);
   const plan::ServingOutcome& out = result.serving;
   const plan::ServingSweepSpec& spec = scenario.serving;
   const size_t num_policies = spec.policies.size();
@@ -90,13 +83,13 @@ int main(int argc, char** argv) {
   bench::PrintRule(52);
 
   std::printf(
-      "\nThe clustered policies serve %zu tenants through 4 resource groups\n"
+      "\nThe clustered policies serve %zu tenants through %u resource groups\n"
       "(the hardware stops at 16 CLOS): per-tenant shadow-tag curves are\n"
       "pooled by MRC similarity, so look-alike tenants share a partition\n"
       "sized for their active members' combined benefit. The round-robin\n"
       "'lookahead' row isolates what similarity grouping adds over blind\n"
       "clustering: same measurement loop, same sizer, class-mixed clusters.\n",
-      static_cast<size_t>(out.tenants));
+      static_cast<size_t>(out.tenants), spec.max_clusters);
   bench::FinishSweepBench(&*result.runner, opts);
   return 0;
 }

@@ -3,18 +3,16 @@
 // behaves worse than 0x3. Also prints the LLC hit ratio and misses per
 // instruction the paper reports in the text (hit ratio < 0.08, MPI ~1.9e-2).
 //
-// The experiment itself is the builtin fig04 scenario (src/plan/): this
-// main executes it through the generic scenario executor — the same code
-// path bench/scenario_runner takes with scenarios/fig04_scan_cache_size.json
-// — and keeps only the paper-style stdout table. Every way restriction is
-// one independent simulation cell, so the sweep fans out across --jobs host
-// threads and the report is byte-identical for any job count.
+// The experiment itself is scenarios/fig04_scan_cache_size.json: this main
+// runs that file through the generic scenario executor — the same code path
+// bench/scenario_runner takes — and keeps only the paper-style stdout table.
+// Every way restriction is one independent simulation cell, so the sweep
+// fans out across --jobs host threads and the report is byte-identical for
+// any job count.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "plan/builtin_scenarios.h"
-#include "plan/scenario_exec.h"
 
 using namespace catdb;
 
@@ -24,15 +22,10 @@ int main(int argc, char** argv) {
   // own.
   sim::Machine meta{sim::MachineConfig{}};
 
-  plan::ExecOptions exec;
-  exec.jobs = opts.jobs;
-  exec.smoke = opts.smoke;
-  exec.tracing = !opts.trace_out.empty();
-
-  plan::ScenarioRunResult result;
-  const Status st =
-      plan::RunScenario(plan::Fig04Scenario(), exec, &result);
-  CATDB_CHECK(st.ok());
+  const plan::Scenario scenario = bench::LoadScenarioFile(
+      CATDB_SCENARIO_DIR "/fig04_scan_cache_size.json");
+  plan::ScenarioRunResult result =
+      bench::RunScenarioWithFlags(scenario, opts);
   const plan::LatencyOutcome& out = result.latency;
 
   std::printf("Fig. 4 — Query 1 (column scan), isolated, varying LLC size\n");

@@ -4,37 +4,29 @@
 // LLC ratios here) and five group counts (10^2..10^6, mapped to simulation
 // scale via ScaledGroupCount; see DESIGN.md).
 //
-// The experiment itself is the builtin fig05 scenario (src/plan/): this
-// main executes it through the generic scenario executor — the same code
-// path bench/scenario_runner takes with scenarios/fig05_agg_cache_size.json
-// — and keeps only the paper-style stdout tables. Every (scenario,
-// group-count) column is one independent simulation cell, so the sweep fans
-// out across --jobs host threads and the report is byte-identical for any
-// job count.
+// The experiment itself is scenarios/fig05_agg_cache_size.json: this main
+// runs that file through the generic scenario executor — the same code path
+// bench/scenario_runner takes — and keeps only the paper-style stdout
+// tables. Every (scenario, group-count) column is one independent
+// simulation cell, so the sweep fans out across --jobs host threads and the
+// report is byte-identical for any job count.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "plan/builtin_scenarios.h"
-#include "plan/scenario_exec.h"
 #include "workloads/micro.h"
 
 using namespace catdb;
 
 namespace {
 
-struct ScenarioHeader {
-  const char* title;
-  plan::Fraction dict_ratio;  // value() is bit-identical to kDictRatio*
+// The paper's labels of the three dictionary scenarios, whose columns the
+// scenario file lists in this order, one per group count.
+constexpr const char* kTitles[] = {
+    "(a) '4 MiB' dictionary",
+    "(b) '40 MiB' dictionary",
+    "(c) '400 MiB' dictionary",
 };
-
-constexpr ScenarioHeader kScenarios[] = {
-    {"(a) '4 MiB' dictionary", {4, 55}},
-    {"(b) '40 MiB' dictionary", {40, 55}},
-    {"(c) '400 MiB' dictionary", {400, 55}},
-};
-
-constexpr size_t kNumGroups = std::size(workloads::kGroupSizes);
 
 }  // namespace
 
@@ -42,37 +34,40 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
   sim::Machine meta{sim::MachineConfig{}};  // labels only; cells own theirs
 
-  plan::ExecOptions exec;
-  exec.jobs = opts.jobs;
-  exec.smoke = opts.smoke;
-  exec.tracing = !opts.trace_out.empty();
-
-  plan::ScenarioRunResult result;
-  const Status st =
-      plan::RunScenario(plan::Fig05Scenario(), exec, &result);
-  CATDB_CHECK(st.ok());
+  const plan::Scenario scenario = bench::LoadScenarioFile(
+      CATDB_SCENARIO_DIR "/fig05_agg_cache_size.json");
+  plan::ScenarioRunResult result =
+      bench::RunScenarioWithFlags(scenario, opts);
   const plan::LatencyOutcome& out = result.latency;
+  // The aggregation dataset of column `i`.
+  auto agg_of = [&](size_t i) -> const plan::DatasetSpec& {
+    return *plan::FindDataset(scenario,
+                              scenario.latency.cells[i].datasets[0]);
+  };
 
   // --smoke ran one (scenario, group-count) cell over a two-point way axis.
-  const size_t num_scenarios = opts.smoke ? 1 : std::size(kScenarios);
-  const size_t num_groups = opts.smoke ? 1 : kNumGroups;
+  const size_t groups_per_dict =
+      scenario.latency.cells.size() / std::size(kTitles);
+  const size_t num_scenarios = opts.smoke ? 1 : std::size(kTitles);
+  const size_t num_groups = opts.smoke ? 1 : groups_per_dict;
   for (size_t si = 0; si < num_scenarios; ++si) {
-    const ScenarioHeader& sc = kScenarios[si];
-    const uint32_t dict_entries =
-        workloads::DictEntriesForRatio(meta, sc.dict_ratio.value());
-    std::printf("\nFig. 5 %s — dictionary %.2f MiB (%u entries)\n", sc.title,
-                dict_entries * 4.0 / (1024 * 1024), dict_entries);
+    const size_t first = si * groups_per_dict;
+    const uint32_t dict_entries = workloads::DictEntriesForRatio(
+        meta, agg_of(first).dict_ratio.value());
+    std::printf("\nFig. 5 %s — dictionary %.2f MiB (%u entries)\n",
+                kTitles[si], dict_entries * 4.0 / (1024 * 1024),
+                dict_entries);
     bench::PrintRule(78);
     std::printf("%-22s", "cache \\ groups");
     for (size_t gi = 0; gi < num_groups; ++gi) {
-      std::printf(" %9.0e", (double)workloads::kGroupSizes[gi]);
+      std::printf(" %9.0e", (double)agg_of(first + gi).paper_groups);
     }
     std::printf("\n");
     bench::PrintRule(78);
     for (size_t wi = 0; wi < out.ways.size(); ++wi) {
       std::printf("%-22s", bench::WaysLabel(meta, out.ways[wi]).c_str());
       for (size_t gi = 0; gi < num_groups; ++gi) {
-        std::printf(" %9.3f", out.columns[si * num_groups + gi].norm[wi]);
+        std::printf(" %9.3f", out.columns[first + gi].norm[wi]);
       }
       std::printf("\n");
     }

@@ -2,20 +2,17 @@
 // varying LLC sizes, for four primary-key counts whose bit vectors span the
 // paper's regimes (fits-L2 / small / comparable-to-LLC / exceeding).
 //
-// The experiment itself is the builtin fig06 scenario (src/plan/): this
-// main executes it through the generic scenario executor — the same code
-// path bench/scenario_runner takes with
-// scenarios/fig06_join_cache_size.json — and keeps only the paper-style
-// stdout table. Every primary-key configuration is one independent
-// simulation cell, so the sweep fans out across --jobs host threads and the
-// report is byte-identical for any job count.
+// The experiment itself is scenarios/fig06_join_cache_size.json: this main
+// runs that file through the generic scenario executor — the same code path
+// bench/scenario_runner takes — and keeps only the paper-style stdout
+// table. Every primary-key configuration is one independent simulation
+// cell, so the sweep fans out across --jobs host threads and the report is
+// byte-identical for any job count.
 
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
-#include "plan/builtin_scenarios.h"
-#include "plan/scenario_exec.h"
 #include "storage/sim_bitvector.h"
 #include "workloads/micro.h"
 
@@ -25,24 +22,21 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
   sim::Machine meta{sim::MachineConfig{}};  // labels only; cells own theirs
 
-  plan::ExecOptions exec;
-  exec.jobs = opts.jobs;
-  exec.smoke = opts.smoke;
-  exec.tracing = !opts.trace_out.empty();
-
-  plan::ScenarioRunResult result;
-  const Status st =
-      plan::RunScenario(plan::Fig06Scenario(), exec, &result);
-  CATDB_CHECK(st.ok());
+  const plan::Scenario scenario = bench::LoadScenarioFile(
+      CATDB_SCENARIO_DIR "/fig06_join_cache_size.json");
+  plan::ScenarioRunResult result =
+      bench::RunScenarioWithFlags(scenario, opts);
   const plan::LatencyOutcome& out = result.latency;
 
-  // Bit-vector sizes for the header, derived from the same machine config
-  // the cells build (PkCountForRatio is config-deterministic, so this
-  // matches the key count of each cell's dataset).
+  // Bit-vector sizes for the header, derived from each cell's join dataset
+  // on the same machine config the cells build (PkCountForRatio is
+  // config-deterministic, so this matches the cell's key count).
   std::vector<double> bits_kib;
   for (size_t i = 0; i < out.columns.size(); ++i) {
+    const plan::DatasetSpec& join = *plan::FindDataset(
+        scenario, scenario.latency.cells[i].datasets[0]);
     const uint32_t keys =
-        workloads::PkCountForRatio(meta, workloads::kPkRatios[i]);
+        workloads::PkCountForRatio(meta, join.pk_ratio.value());
     bits_kib.push_back(storage::SimBitVector(keys).SizeBytes() / 1024.0);
   }
 

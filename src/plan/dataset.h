@@ -3,8 +3,8 @@
 
 // Declarative dataset construction — the single seam through which both the
 // scenario executor and the hand-coded figure benches build their datasets
-// (fig05/fig06/fig10 construct DatasetSpec inline; the scenario files carry
-// them as JSON). Sizes are given either as exact LLC ratios (Fraction, the
+// (fig10 constructs DatasetSpec inline; the scenario files carry them as
+// JSON). Sizes are given either as exact LLC ratios (Fraction, the
 // paper's scaling rule) or as explicit counts (the generator's
 // machine-independent plans).
 

@@ -110,6 +110,14 @@ engine::PolicyConfig PairPolicyConfig(const PairPolicySpec& spec) {
   return policy;
 }
 
+const DatasetSpec* FindDataset(const Scenario& scenario,
+                               const std::string& name) {
+  for (const DatasetSpec& spec : scenario.datasets) {
+    if (spec.name == name) return &spec;
+  }
+  return nullptr;
+}
+
 Status ValidateScenario(const Scenario& scenario) {
   if (scenario.benchmark.empty()) {
     return Status::InvalidArgument("$.benchmark: must be nonempty");
@@ -129,16 +137,6 @@ Status ValidateScenario(const Scenario& scenario) {
     }
   }
 
-  auto dataset_type_of = [&](const std::string& name, DatasetType* out) {
-    for (const DatasetSpec& spec : scenario.datasets) {
-      if (spec.name == name) {
-        *out = spec.type;
-        return true;
-      }
-    }
-    return false;
-  };
-
   std::set<std::string> plan_names;
   for (size_t i = 0; i < scenario.plans.size(); ++i) {
     const Plan& plan = scenario.plans[i];
@@ -154,17 +152,17 @@ Status ValidateScenario(const Scenario& scenario) {
       if (node.op == OpKind::kScratchTouch) continue;
       const std::string np =
           JoinPath(IndexPath(JoinPath(path, "nodes"), n), "dataset");
-      DatasetType type;
-      if (!dataset_type_of(node.dataset, &type)) {
+      const DatasetSpec* dataset = FindDataset(scenario, node.dataset);
+      if (dataset == nullptr) {
         return Status::InvalidArgument(np + ": references unknown dataset '" +
                                        node.dataset + "'");
       }
       const DatasetType want = RequiredDatasetType(node.op);
-      if (type != want) {
+      if (dataset->type != want) {
         return Status::InvalidArgument(
             np + ": op " + OpKindName(node.op) + " needs a dataset of type " +
             DatasetTypeName(want) + ", but '" + node.dataset + "' has type " +
-            DatasetTypeName(type));
+            DatasetTypeName(dataset->type));
       }
     }
   }

@@ -3,9 +3,10 @@
 
 // Scenario files (`catdb.scenario/v1`): a checked-in JSON description of one
 // whole experiment — dataset parameters, query classes as operator plans,
-// tenant mix / arrival config (serving), and sweep axes — executed by a
-// single generic binary (bench/scenario_runner) through the executor in
-// scenario_exec.h. Three sweep kinds cover the figure-bench shapes:
+// tenant mix / arrival config (serving), and sweep axes — executed through
+// the executor in scenario_exec.h by the generic bench/scenario_runner and
+// by the figure bench of the same name. The file is the experiment's only
+// definition. Three sweep kinds cover the figure-bench shapes:
 //
 //  * latency_sweep — isolated warm-iteration latency of one plan across an
 //    LLC way axis (fig04/fig05/fig06 shape),
@@ -143,8 +144,8 @@ struct ServingSweepSpec {
 };
 
 struct Scenario {
-  /// Report/benchmark name ("fig04_scan_cache_size", ...). Must match the
-  /// hand-coded bench's name for byte-identical reports.
+  /// Report/benchmark name ("fig04_scan_cache_size", ...). A checked-in
+  /// file is scenarios/<benchmark>.json, which the bench of that name runs.
   std::string benchmark;
   SweepKind kind = SweepKind::kLatency;
   std::vector<DatasetSpec> datasets;
@@ -153,6 +154,10 @@ struct Scenario {
   PairSweepSpec pair;
   ServingSweepSpec serving;
 };
+
+/// The dataset named `name`, or nullptr when the scenario has none.
+const DatasetSpec* FindDataset(const Scenario& scenario,
+                               const std::string& name);
 
 /// Cross-field validation (unique names, resolvable references, per-kind
 /// requirements, and sizes that fit the sim::MachineConfig{} machine every

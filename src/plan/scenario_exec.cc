@@ -13,14 +13,6 @@ namespace catdb::plan {
 
 namespace {
 
-const DatasetSpec* FindDataset(const Scenario& scenario,
-                               const std::string& name) {
-  for (const DatasetSpec& spec : scenario.datasets) {
-    if (spec.name == name) return &spec;
-  }
-  return nullptr;
-}
-
 const Plan* FindPlan(const Scenario& scenario, const std::string& name) {
   for (const Plan& plan : scenario.plans) {
     if (plan.name == name) return &plan;

@@ -4,9 +4,9 @@
 // Generic scenario executor: runs a Scenario (scenario.h) through the
 // parallel sweep harness using the same experiment primitives
 // (harness/experiments.h) as the hand-coded figure benches. The contract is
-// byte-identity: a bench main that calls RunScenario with a builtin scenario
-// and bench/scenario_runner loading the equivalent checked-in JSON produce
-// the same catdb.report/v1 bytes at any --jobs value.
+// byte-identity: a figure bench and bench/scenario_runner running the same
+// checked-in scenarios/<name>.json produce the same catdb.report/v1 bytes at
+// any --jobs value.
 //
 // RunScenario fills a ScenarioRunResult with both the merged report (via the
 // embedded SweepRunner) and the per-cell raw outcomes, so bench mains can

@@ -1,8 +1,8 @@
 // Tests for the shared bench helpers (bench/bench_util.h): the strict
 // ERANGE-checked flag parsers, ParseBenchArgs' rejection of anything that
-// is not one of its four flags, and WarmIterationCycles' single-iteration
-// behaviour (an off-by-one that used to index out of bounds when a bench
-// asked for fewer than two iterations).
+// is not one of its four flags or leaves an output path empty, and
+// WarmIterationCycles' single-iteration behaviour (an off-by-one that used
+// to index out of bounds when a bench asked for fewer than two iterations).
 
 #include <gtest/gtest.h>
 
@@ -94,6 +94,22 @@ TEST(BenchArgParsingDeathTest, UnknownFlagIsAUsageError) {
   EXPECT_EXIT(ParseArgs({"--selfperf-horizon=5"}),
               ::testing::ExitedWithCode(2),
               "unknown argument: --selfperf-horizon=5");
+}
+
+// An output path that expands to nothing ("--report-out=$OUT" with OUT
+// unset) must fail loudly instead of running and writing no artifact.
+TEST(BenchArgParsingDeathTest, EmptyReportPathIsAUsageError) {
+  EXPECT_EXIT(ParseArgs({"--smoke", "--report-out="}),
+              ::testing::ExitedWithCode(2),
+              "empty output path: --report-out=\n"
+              "usage: bench \\[--report-out=<path>\\]");
+}
+
+TEST(BenchArgParsingDeathTest, EmptyTracePathIsAUsageError) {
+  EXPECT_EXIT(ParseArgs({"--trace-out=", "--smoke"}),
+              ::testing::ExitedWithCode(2),
+              "empty output path: --trace-out=\n"
+              "usage: bench \\[--report-out=<path>\\]");
 }
 
 // --- WarmIterationCycles ---

@@ -1,14 +1,16 @@
 // Tests for the operator-plan subsystem (src/plan/): scenario execution is
 // report-byte-identical to the hand-coded workload construction it replaces
-// (fig04/fig09 shapes), scenario files round-trip through parse/serialize
-// stably, validation errors name the offending JSON path, the random plan
-// generator is deterministic, and the differential fuzz harness agrees
-// across executor regimes and job counts.
+// (fig04/fig09 shapes), the checked-in scenario files parse and are in
+// canonical form, validation errors name the offending JSON path, the
+// random plan generator is deterministic, and the differential fuzz harness
+// agrees across executor regimes and job counts.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,6 @@
 #include "engine/operators/aggregation.h"
 #include "engine/operators/column_scan.h"
 #include "engine/runner.h"
-#include "plan/builtin_scenarios.h"
 #include "plan/fuzz.h"
 #include "plan/plan_gen.h"
 #include "plan/plan_query.h"
@@ -26,6 +27,12 @@
 
 namespace catdb {
 namespace {
+
+// The checked-in scenario file the bench `name` runs.
+plan::Scenario CheckedInScenario(const std::string& name) {
+  return bench::LoadScenarioFile(std::string(CATDB_SCENARIO_DIR) + "/" +
+                                 name + ".json");
+}
 
 // --- Byte-identity with the hand-coded workload construction -------------
 
@@ -69,7 +76,8 @@ std::string HandCodedFig04Json(unsigned jobs) {
   runner.report().AddScalar("ways2/norm_tput",
                             baseline.cycles / restricted.cycles);
   runner.report().AddRun("ways2", restricted.rep);
-  plan::AddScenarioSection(&runner.report(), plan::Fig04Scenario());
+  plan::AddScenarioSection(&runner.report(),
+                           CheckedInScenario("fig04_scan_cache_size"));
   return runner.report().Json();
 }
 
@@ -78,7 +86,8 @@ std::string ScenarioFig04Json(unsigned jobs) {
   exec.jobs = jobs;
   exec.smoke = true;
   plan::ScenarioRunResult result;
-  const Status st = plan::RunScenario(plan::Fig04Scenario(), exec, &result);
+  const Status st = plan::RunScenario(
+      CheckedInScenario("fig04_scan_cache_size"), exec, &result);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return result.runner->report().Json();
 }
@@ -112,7 +121,8 @@ std::string HandCodedFig09Json() {
     bench::AddPairResult(&cell.report(), "a/groups100", r);
   });
   runner.Run();
-  plan::AddScenarioSection(&runner.report(), plan::Fig09Scenario());
+  plan::AddScenarioSection(&runner.report(),
+                           CheckedInScenario("fig09_scan_vs_agg"));
   return runner.report().Json();
 }
 
@@ -120,22 +130,39 @@ TEST(PlanScenarioTest, Fig09LoweringMatchesHandCodedReportBytes) {
   plan::ExecOptions exec;
   exec.smoke = true;  // one cell at the short horizon
   plan::ScenarioRunResult result;
-  const Status st = plan::RunScenario(plan::Fig09Scenario(), exec, &result);
+  const Status st = plan::RunScenario(CheckedInScenario("fig09_scan_vs_agg"),
+                                      exec, &result);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(HandCodedFig09Json(), result.runner->report().Json());
 }
 
-// --- Round-trip stability -------------------------------------------------
+// --- Checked-in scenario files ------------------------------------------
 
-TEST(PlanScenarioTest, BuiltinScenariosRoundTripStable) {
-  for (const std::string& name : plan::BuiltinScenarioNames()) {
+// Every file under scenarios/ parses, validates, names its own benchmark and
+// is byte-identical to the canonical serialization of its parse; the five
+// files the scenario-backed benches load must all be there.
+TEST(PlanScenarioTest, CheckedInScenariosAreCanonical) {
+  std::set<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CATDB_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string path = entry.path().string();
+    std::string text;
     plan::Scenario scenario;
-    ASSERT_TRUE(plan::BuiltinScenario(name, &scenario).ok()) << name;
-    const std::string text = plan::ScenarioToText(scenario);
-    plan::Scenario reparsed;
-    const Status st = plan::ScenarioFromText(text, &reparsed);
-    ASSERT_TRUE(st.ok()) << name << ": " << st.ToString();
-    EXPECT_EQ(text, plan::ScenarioToText(reparsed)) << name;
+    Status st = plan::ReadTextFile(path, &text);
+    if (st.ok()) st = plan::ScenarioFromText(text, &scenario);
+    ASSERT_TRUE(st.ok()) << path << ": " << st.ToString();
+    EXPECT_EQ(scenario.benchmark, entry.path().stem().string()) << path;
+    const std::string canonical = plan::ScenarioToText(scenario);
+    EXPECT_EQ(text, canonical) << path << " is not in canonical form; "
+                               << "canonical text:\n" << canonical;
+    found.insert(entry.path().stem().string());
+  }
+  for (const char* name :
+       {"fig04_scan_cache_size", "fig05_agg_cache_size",
+        "fig06_join_cache_size", "fig09_scan_vs_agg", "ext_serving_tail"}) {
+    EXPECT_EQ(found.count(name), 1u) << "missing scenarios/" << name
+                                     << ".json";
   }
 }
 
@@ -185,9 +212,7 @@ TEST(PlanScenarioTest, RowsPerChunkRangeErrorNamesPath) {
 }
 
 TEST(PlanScenarioTest, CyclicPlanIsRejected) {
-  plan::Scenario scenario;
-  ASSERT_TRUE(
-      plan::BuiltinScenario("fig04_scan_cache_size", &scenario).ok());
+  plan::Scenario scenario = CheckedInScenario("fig04_scan_cache_size");
   auto& nodes = scenario.plans[0].nodes;
   plan::PlanNode second = nodes[0];
   second.id = "scan2";
@@ -200,7 +225,7 @@ TEST(PlanScenarioTest, CyclicPlanIsRejected) {
 }
 
 TEST(PlanScenarioTest, ServingClassWithoutConcreteCuidIsRejected) {
-  plan::Scenario scenario = plan::ServingMixScenario();
+  plan::Scenario scenario = CheckedInScenario("ext_serving_tail");
   scenario.serving.classes[0].cuid = plan::CuidAnnotation::kDefault;
   const Status st = plan::ValidateScenario(scenario);
   ASSERT_FALSE(st.ok());
@@ -209,9 +234,7 @@ TEST(PlanScenarioTest, ServingClassWithoutConcreteCuidIsRejected) {
 }
 
 TEST(PlanScenarioTest, UnknownDatasetReferenceNamesPath) {
-  plan::Scenario scenario;
-  ASSERT_TRUE(
-      plan::BuiltinScenario("fig04_scan_cache_size", &scenario).ok());
+  plan::Scenario scenario = CheckedInScenario("fig04_scan_cache_size");
   scenario.plans[0].nodes[0].dataset = "nope";
   const Status st = plan::ValidateScenario(scenario);
   ASSERT_FALSE(st.ok());
@@ -219,6 +242,54 @@ TEST(PlanScenarioTest, UnknownDatasetReferenceNamesPath) {
             std::string::npos)
       << st.message();
   EXPECT_NE(st.message().find("'nope'"), std::string::npos) << st.message();
+}
+
+// One mutation of a checked-in file per structural rule of the format:
+// schema tag, one sweep section, unique dataset and plan names, exact
+// fractions, nonempty nodes and benchmark. Each must fail the parser with a
+// message that starts at the mutated JSON path.
+TEST(PlanScenarioTest, MutatedCheckedInFileErrorsNamePath) {
+  const std::string path =
+      std::string(CATDB_SCENARIO_DIR) + "/fig04_scan_cache_size.json";
+  std::string text;
+  ASSERT_TRUE(plan::ReadTextFile(path, &text).ok()) << path;
+  // `text` from `open` through the first `close` after it.
+  auto span = [&](const std::string& open, const std::string& close) {
+    const size_t at = text.find(open);
+    EXPECT_NE(at, std::string::npos) << open;
+    const size_t end = text.find(close, at + open.size());
+    EXPECT_NE(end, std::string::npos) << close;
+    return text.substr(at, end + close.size() - at);
+  };
+  // `text` with the first `from` replaced by `to`.
+  auto mutate = [&](const std::string& from, const std::string& to) {
+    std::string out = text;
+    const size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? out : out.replace(at, from.size(), to);
+  };
+  const std::string dataset_json =
+      span("{\n      \"name\": \"scan_small\"", "}");
+  const std::string plan_json = span("{\n      \"name\": \"q1\"", "\n    }");
+  const std::pair<std::string, std::string> kMutations[] = {
+      {mutate("catdb.scenario/v1", "catdb.scenario/v2"), "$.schema"},
+      {mutate("\"latency_sweep\": {",
+              "\"pair_sweep\": {},\n  \"latency_sweep\": {"),
+       "$.pair_sweep"},
+      {mutate(dataset_json, dataset_json + ", " + dataset_json),
+       "$.datasets[1].name"},
+      {mutate(plan_json, plan_json + ", " + plan_json), "$.plans[1].name"},
+      {mutate("[4, 55]", "[4, 0]"), "$.datasets[0].dict_ratio"},
+      {mutate("[4, 55]", "0.0727"), "$.datasets[0].dict_ratio"},
+      {mutate(span("\"nodes\": [", "]"), "\"nodes\": []"),
+       "$.plans[0].nodes"},
+      {mutate("\"fig04_scan_cache_size\"", "\"\""), "$.benchmark"},
+  };
+  for (const auto& [mutated, json_path] : kMutations) {
+    const std::string msg = ParseError(mutated);
+    EXPECT_EQ(msg.rfind(json_path + ": ", 0), 0u) << json_path << " -> "
+                                                  << msg;
+  }
 }
 
 // --- Sizes must fit the machine every sweep cell builds --------------------
@@ -230,7 +301,7 @@ void ExpectRejectedAt(const plan::Scenario& scenario, const std::string& path) {
 }
 
 TEST(PlanScenarioTest, ServingCoresBeyondMachineAreRejected) {
-  plan::Scenario scenario = plan::ServingMixScenario();
+  plan::Scenario scenario = CheckedInScenario("ext_serving_tail");
   scenario.serving.cores = sim::MachineConfig{}.hierarchy.num_cores + 1;
   ExpectRejectedAt(scenario, "$.serving_sweep.cores");
 }
@@ -238,7 +309,7 @@ TEST(PlanScenarioTest, ServingCoresBeyondMachineAreRejected) {
 TEST(PlanScenarioTest, ServingMaxClustersOutsideClosRangeAreRejected) {
   // The default group holds one of the CLOS, so at most 15 of 16 clusters
   // are programmable.
-  plan::Scenario scenario = plan::ServingMixScenario();
+  plan::Scenario scenario = CheckedInScenario("ext_serving_tail");
   for (const uint32_t clusters : {0u, 16u, 40u}) {
     scenario.serving.max_clusters = clusters;
     ExpectRejectedAt(scenario, "$.serving_sweep.max_clusters");
@@ -248,9 +319,7 @@ TEST(PlanScenarioTest, ServingMaxClustersOutsideClosRangeAreRejected) {
 }
 
 TEST(PlanScenarioTest, LatencyWaysBeyondLlcAreRejected) {
-  plan::Scenario scenario;
-  ASSERT_TRUE(
-      plan::BuiltinScenario("fig04_scan_cache_size", &scenario).ok());
+  plan::Scenario scenario = CheckedInScenario("fig04_scan_cache_size");
   const uint32_t llc_ways = sim::MachineConfig{}.hierarchy.llc.num_ways;
   scenario.latency.smoke_ways = {llc_ways + 1};
   ExpectRejectedAt(scenario, "$.latency_sweep.smoke_ways[0]");
@@ -265,8 +334,7 @@ TEST(PlanScenarioTest, LatencyWaysBeyondLlcAreRejected) {
 TEST(PlanScenarioTest, PairPolicyInvalidWhenEnabledIsRejected) {
   // RunPair forces the scheme on, so the override must pass validation as
   // an enabled policy.
-  plan::Scenario scenario;
-  ASSERT_TRUE(plan::BuiltinScenario("fig09_scan_vs_agg", &scenario).ok());
+  plan::Scenario scenario = CheckedInScenario("fig09_scan_vs_agg");
   scenario.pair.has_policy = true;
   scenario.pair.policy.has_polluting_ways = true;
   scenario.pair.policy.polluting_ways = 0;

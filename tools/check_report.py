@@ -57,7 +57,7 @@ def find_null(value, path):
     return None
 
 
-def check_scenario_entry(path, i, entry):
+def validate_scenario_entry(path, i, entry):
     where = f"{path}: results[{i}]"
     summary = entry.get("scenario")
     if not isinstance(summary, dict):
@@ -96,7 +96,7 @@ def check(path):
     scenarios = 0
     for i, entry in enumerate(results):
         if isinstance(entry, dict) and entry.get("kind") == "scenario":
-            check_scenario_entry(path, i, entry)
+            validate_scenario_entry(path, i, entry)
             scenarios += 1
     suffix = f", {scenarios} scenario section(s)" if scenarios else ""
     print(f"ok: {path} ({len(results)} results{suffix})")
