@@ -5,8 +5,9 @@
 // under three executor regimes that must not change simulated physics —
 //   default        : batched AccessRun path
 //   scalar         : batched_runs disabled (scalar access loop)
-//   nosimd         : way_scan demoted to the scalar probes (hierarchy
-//                    simd=false — the CATDB_NO_SIMD semantics, per machine)
+//   nosimd         : the hierarchy's scalar path (hierarchy simd=false — the
+//                    CATDB_NO_SIMD semantics, per machine); on a host with
+//                    AVX-512F the other two regimes run the AVX-512 twins
 // — and the FNV-1a digest of each regime's run report must be identical.
 // A digest mismatch means a host-side optimization diverged from the
 // default semantics; the harness fails with a Status naming every diverging

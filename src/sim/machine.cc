@@ -46,6 +46,21 @@ Status Machine::ValidateConfig(const MachineConfig& config) {
     return Status::InvalidArgument(
         "cache geometries must have power-of-two sets and 1..64 ways");
   }
+  // StreamPrefetcher CHECKs both, enabled or not.
+  if (h.prefetcher.num_streams < 1) {
+    return Status::InvalidArgument("prefetcher.num_streams must be at least 1");
+  }
+  if (h.prefetcher.trigger_run < 1) {
+    return Status::InvalidArgument("prefetcher.trigger_run must be at least 1");
+  }
+  // DramChannel books whole-line transfers into fixed epochs and needs room
+  // for at least two per epoch.
+  const uint64_t max_transfer = simcache::DramChannel::kEpochCycles / 2;
+  if (h.latency.dram_transfer < 1 || h.latency.dram_transfer > max_transfer) {
+    return Status::InvalidArgument(
+        "latency.dram_transfer (" + std::to_string(h.latency.dram_transfer) +
+        ") must be between 1 and " + std::to_string(max_transfer) + " cycles");
+  }
   return Status::OK();
 }
 

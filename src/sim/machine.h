@@ -45,9 +45,11 @@ struct MachineConfig {
 class Machine {
  public:
   /// Validates a MachineConfig before construction: cache geometries must be
-  /// valid and the core count must fit the hierarchy's presence-mask width
+  /// valid, the core count must fit the hierarchy's presence-mask width
   /// (one bit per core; a wider machine would shift presence bits out of
-  /// range — UB — during inclusive back-invalidation bookkeeping). Callers
+  /// range — UB — during inclusive back-invalidation bookkeeping), and the
+  /// prefetcher's stream count and trigger run and the DRAM transfer time
+  /// must lie in the ranges their constructors CHECK. Callers
   /// that accept external configuration should consult this and surface the
   /// Status; the constructor CHECKs it as a backstop.
   static Status ValidateConfig(const MachineConfig& config);

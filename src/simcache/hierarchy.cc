@@ -22,21 +22,15 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
         std::make_unique<StreamPrefetcher>(config_.prefetcher));
   }
   // Per-machine SIMD resolution (rather than reading the process default at
-  // every probe): differential regimes build SIMD-on and SIMD-off machines
+  // every access): differential regimes build SIMD-on and SIMD-off machines
   // in one process, so the level must be instance state.
-  const SimdLevel simd =
-      config_.simd ? DefaultSimdLevel() : SimdLevel::kScalar;
-  llc_->set_simd_level(simd);
-  for (uint32_t c = 0; c < config_.num_cores; ++c) {
-    l1_[c]->set_simd_level(simd);
-    l2_[c]->set_simd_level(simd);
-    prefetchers_[c]->set_simd_level(simd);
-  }
+  simd_ = config_.simd ? DefaultSimdLevel() : SimdLevel::kScalar;
   core_stats_.resize(config_.num_cores);
   clos_monitors_.resize(kMaxClos);
   profile_tags_.assign(config_.num_cores, kProfileTagClos);
 }
 
+template <SimdLevel L>
 AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
                                               uint64_t now,
                                               uint64_t llc_alloc_mask,
@@ -68,7 +62,7 @@ AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
   // would pick, so a fill is a single store burst (FillAt) instead of a
   // second set scan, and LLC presence marks reuse the probe's slot.
   size_t l2_victim = 0;
-  if (l2.LookupOrVictim(line, &l2_victim)) {
+  if (l2.LookupOrVictim<L>(line, &l2_victim)) {
     stats_.l2.hits += 1;
     cs.l2.hits += 1;
     // The L2 lookup promoted the line and its LLC presence bit is already
@@ -86,7 +80,7 @@ AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
     shadow_profiler_->Observe(tag == kProfileTagClos ? clos : tag, line);
   }
 
-  const int64_t lslot = llc_->LookupSlotHinted(line);
+  const int64_t lslot = llc_->LookupSlotHinted<L>(line);
   if (lslot >= 0) {
     stats_.llc.hits += 1;
     cs.llc.hits += 1;
@@ -116,16 +110,16 @@ AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
   uint64_t evicted_line = SetAssocCache::kInvalidTag;
   uint32_t evicted_presence = 0;
   const size_t slot =
-      InsertIntoLlcAt(line, llc_alloc_mask, clos, &evicted_line,
-                      &evicted_presence);
+      InsertIntoLlcAt<L>(line, llc_alloc_mask, clos, &evicted_line,
+                         &evicted_presence);
   // The LLC insert back-invalidates private copies of the evicted line on
   // cores whose presence bit is set; only then could this core's
   // precomputed victims be stale (the invalidated slot may now be the
   // first-empty way the scalar re-scan would pick).
   if (config_.inclusive_llc && evicted_line != SetAssocCache::kInvalidTag &&
       ((evicted_presence >> core) & 1u) != 0) {
-    l2.InsertNew(line);
-    l1.InsertNew(line);
+    l2.InsertNew<L>(line);
+    l1.InsertNew<L>(line);
   } else {
     l2.FillAt(l2_victim, line);
     l1.FillAt(l1_victim, line);
@@ -139,17 +133,29 @@ AccessResult MemoryHierarchy::AccessPointMiss(uint32_t core, uint64_t line,
 uint64_t MemoryHierarchy::AccessRun(uint32_t core, uint64_t first_line,
                                     uint64_t n_lines, uint64_t now,
                                     uint64_t llc_alloc_mask, uint32_t clos) {
-  // Dispatch once per run: the unprofiled instantiation contains no timer
-  // reads at all, so measured legs are unaffected by the profiling support.
-  if (host_profile_ != nullptr) {
-    return AccessRunImpl<true>(core, first_line, n_lines, now, llc_alloc_mask,
-                               clos);
+  // Dispatch once per run: the path first, then the profiling
+  // instantiation, so a profiled pass times the code a measured pass runs.
+  // The unprofiled instantiations contain no timer reads at all, so
+  // measured legs are unaffected by the profiling support.
+#if CATDB_WAY_SCAN_X86
+  if (simd_ == SimdLevel::kAvx512) {
+    if (host_profile_ != nullptr) {
+      return AccessRunAvx512<true>(core, first_line, n_lines, now,
+                                   llc_alloc_mask, clos);
+    }
+    return AccessRunAvx512<false>(core, first_line, n_lines, now,
+                                  llc_alloc_mask, clos);
   }
-  return AccessRunImpl<false>(core, first_line, n_lines, now, llc_alloc_mask,
-                              clos);
+#endif
+  if (host_profile_ != nullptr) {
+    return AccessRunImpl<SimdLevel::kScalar, true>(
+        core, first_line, n_lines, now, llc_alloc_mask, clos);
+  }
+  return AccessRunImpl<SimdLevel::kScalar, false>(
+      core, first_line, n_lines, now, llc_alloc_mask, clos);
 }
 
-template <bool kProfiled>
+template <SimdLevel L, bool kProfiled>
 uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
                                         uint64_t n_lines, uint64_t now,
                                         uint64_t llc_alloc_mask,
@@ -247,11 +253,11 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
       prof_end(c_pf);
       for (uint64_t p : scratch_prefetch_lines_) {
         prof_begin();
-        const int64_t pslot = llc.FindSlotHinted(p);
+        const int64_t pslot = llc.FindSlotHinted<L>(p);
         prof_end(c_llc);
         if (pslot >= 0) {
           prof_begin();
-          l2.Insert(p);
+          l2.Insert<L>(p);
           if (inclusive) llc.MarkPresentAt(static_cast<size_t>(pslot), core);
           prof_end(c_fill);
           continue;
@@ -284,7 +290,8 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
         n_pf_issued += 1;
         prof_begin();
         uint64_t evicted_line = SetAssocCache::kInvalidTag;
-        const size_t slot = InsertIntoLlcAt(p, run_mask, clos, &evicted_line);
+        const size_t slot =
+            InsertIntoLlcAt<L>(p, run_mask, clos, &evicted_line);
         // Scrub only in inclusive mode, mirroring InsertIntoLlcAt: a
         // non-inclusive eviction leaves the pending entry alive.
         if (inclusive && evicted_line != SetAssocCache::kInvalidTag &&
@@ -292,10 +299,10 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
           rp_scrub(evicted_line);
         }
         if (inclusive) {
-          l2.InsertNew(p);
+          l2.InsertNew<L>(p);
           llc.MarkPresentAt(slot, core);
         } else {
-          l2.Insert(p);
+          l2.Insert<L>(p);
         }
         prof_end(c_fill);
       }
@@ -303,7 +310,7 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
 
     prof_begin();
     size_t l1_victim = 0;
-    const bool l1_hit = l1.LookupOrVictim(line, &l1_victim);
+    const bool l1_hit = l1.LookupOrVictim<L>(line, &l1_victim);
     prof_end(c_l1);
     if (l1_hit) {
       // L1-resident streak: the hit folds into the batched counters and one
@@ -338,7 +345,7 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
 
     prof_begin();
     size_t l2_victim = 0;
-    const bool l2_hit = l2.LookupOrVictim(line, &l2_victim);
+    const bool l2_hit = l2.LookupOrVictim<L>(line, &l2_victim);
     prof_end(c_l2);
     if (l2_hit) {
       n_l2_hits += 1;
@@ -362,7 +369,7 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
     }
 
     prof_begin();
-    const int64_t lslot = llc.LookupSlotHinted(line);
+    const int64_t lslot = llc.LookupSlotHinted<L>(line);
     prof_end(c_llc);
     if (lslot >= 0) {
       n_llc_hits += 1;
@@ -387,8 +394,8 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
     prof_begin();
     uint64_t evicted_line = SetAssocCache::kInvalidTag;
     uint32_t evicted_presence = 0;
-    const size_t slot = InsertIntoLlcAt(line, run_mask, clos, &evicted_line,
-                                        &evicted_presence);
+    const size_t slot = InsertIntoLlcAt<L>(line, run_mask, clos,
+                                           &evicted_line, &evicted_presence);
     if (inclusive && evicted_line != SetAssocCache::kInvalidTag &&
         rp_n != 0) {
       rp_scrub(evicted_line);
@@ -400,8 +407,8 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
     // selection in that case, reuse the demand probes' victims otherwise.
     if (inclusive && evicted_line != SetAssocCache::kInvalidTag &&
         ((evicted_presence >> core) & 1u) != 0) {
-      l2.InsertNew(line);
-      l1.InsertNew(line);
+      l2.InsertNew<L>(line);
+      l1.InsertNew<L>(line);
     } else {
       l2.FillAt(l2_victim, line);
       l1.FillAt(l1_victim, line);
@@ -481,6 +488,7 @@ uint64_t MemoryHierarchy::AccessRunImpl(uint32_t core, uint64_t first_line,
   return now - start;
 }
 
+template <SimdLevel L>
 size_t MemoryHierarchy::InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
                                         uint32_t clos,
                                         uint64_t* evicted_line_out,
@@ -490,7 +498,7 @@ size_t MemoryHierarchy::InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
   // reports the slot.
   const uint64_t before = llc_->ValidLineCount();
   size_t slot = 0;
-  std::optional<EvictedLine> evicted = llc_->InsertNewAt(
+  std::optional<EvictedLine> evicted = llc_->InsertNewAt<L>(
       line, llc_alloc_mask, static_cast<uint16_t>(clos), &slot);
   if (evicted_line_out != nullptr) {
     *evicted_line_out =
@@ -521,8 +529,8 @@ size_t MemoryHierarchy::InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
     // caller's MarkPresentAt.
     for (uint32_t bits = evicted->presence; bits != 0; bits &= bits - 1) {
       const uint32_t c = static_cast<uint32_t>(__builtin_ctz(bits));
-      bool invalidated = l1_[c]->Invalidate(evicted->line);
-      invalidated |= l2_[c]->Invalidate(evicted->line);
+      bool invalidated = l1_[c]->Invalidate<L>(evicted->line);
+      invalidated |= l2_[c]->Invalidate<L>(evicted->line);
       if (invalidated) stats_.llc_back_invalidations += 1;
     }
     prefetch_ready_.Erase(evicted->line);
@@ -530,6 +538,7 @@ size_t MemoryHierarchy::InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
   return slot;
 }
 
+template <SimdLevel L>
 void MemoryHierarchy::EmitStagedPrefetches(uint32_t core, uint64_t now,
                                            uint64_t llc_alloc_mask,
                                            uint32_t clos) {
@@ -537,12 +546,12 @@ void MemoryHierarchy::EmitStagedPrefetches(uint32_t core, uint64_t now,
     // Keep the slot of the LLC probe / insert so the presence mark is a
     // single store instead of a re-probe (the run loop's prefetch-insert
     // discipline).
-    const int64_t pslot = llc_->FindSlotHinted(pf);
+    const int64_t pslot = llc_->FindSlotHinted<L>(pf);
     if (pslot >= 0) {
       // LLC-resident: the L2 streamer still stages the line into the
       // requesting core's L2 (LLC -> L2 prefetch, no DRAM traffic), so a
       // fully cached stream is at least as fast as a DRAM-prefetched one.
-      l2_[core]->Insert(pf);
+      l2_[core]->Insert<L>(pf);
       if (config_.inclusive_llc) {
         llc_->MarkPresentAt(static_cast<size_t>(pslot), core);
       }
@@ -569,17 +578,52 @@ void MemoryHierarchy::EmitStagedPrefetches(uint32_t core, uint64_t now,
     clos_monitors_[clos].mbm_lines += 1;
     // Prefetches fill the LLC and the requesting core's L2 (Intel's L2
     // streamer behaviour) and honour the core's CAT allocation mask.
-    const size_t slot = InsertIntoLlcAt(pf, llc_alloc_mask, clos);
+    const size_t slot = InsertIntoLlcAt<L>(pf, llc_alloc_mask, clos);
     if (config_.inclusive_llc) {
       // The line missed the LLC, so with an inclusive LLC it cannot be in
       // any L2 either.
-      l2_[core]->InsertNew(pf);
+      l2_[core]->InsertNew<L>(pf);
       llc_->MarkPresentAt(slot, core);
     } else {
-      l2_[core]->Insert(pf);
+      l2_[core]->Insert<L>(pf);
     }
   }
 }
+
+#if CATDB_WAY_SCAN_X86
+// The AVX-512 path. Each twin is its scalar body with `flatten`, which makes
+// GCC inline the whole call tree into the twin, the way_scan kernels
+// included, and compile it for AVX-512F. GCC needs `flatten` for this: its
+// ordinary inliner works bottom-up, cannot inline a target("avx512f")
+// kernel into a baseline cache method, and so leaves every kernel as an
+// out-of-line call (so does target_clones on an entry function). A per-file
+// -mavx512f is not an option either: the linker could then keep the
+// AVX-512 copy of an inline function shared with baseline code, which would
+// crash a host without AVX-512F. Only the twins are AVX-512 code, and they
+// run only when DetectSimdLevel() found AVX-512F.
+__attribute__((target("avx512f"), flatten)) AccessResult
+MemoryHierarchy::AccessPointAvx512(uint32_t core, uint64_t line, uint64_t now,
+                                   uint64_t llc_alloc_mask, uint32_t clos) {
+  return AccessPointImpl<SimdLevel::kAvx512>(core, line, now, llc_alloc_mask,
+                                             clos);
+}
+
+template <bool kProfiled>
+__attribute__((target("avx512f"), flatten)) uint64_t
+MemoryHierarchy::AccessRunAvx512(uint32_t core, uint64_t first_line,
+                                 uint64_t n_lines, uint64_t now,
+                                 uint64_t llc_alloc_mask, uint32_t clos) {
+  return AccessRunImpl<SimdLevel::kAvx512, kProfiled>(
+      core, first_line, n_lines, now, llc_alloc_mask, clos);
+}
+#endif
+
+// The scalar point path inlines into callers in other files (AccessPoint),
+// which call these two out-of-line pieces of it.
+template AccessResult MemoryHierarchy::AccessPointMiss<SimdLevel::kScalar>(
+    uint32_t, uint64_t, uint64_t, uint64_t, uint32_t, size_t);
+template void MemoryHierarchy::EmitStagedPrefetches<SimdLevel::kScalar>(
+    uint32_t, uint64_t, uint64_t, uint32_t);
 
 void MemoryHierarchy::ResetStats() {
   stats_ = HierarchyStats{};

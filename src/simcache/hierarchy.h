@@ -30,14 +30,14 @@ struct HierarchyConfig {
   /// If false, LLC evictions do not back-invalidate private caches
   /// (exclusive-ish behaviour; exists for the ablation bench).
   bool inclusive_llc = true;
-  /// If true (default), the caches probe their SoA tag/stamp arrays through
-  /// the way_scan primitives at the best level the host supports (SSE2
-  /// baseline, AVX2 when detected; demoted process-wide by the
-  /// CATDB_NO_SIMD environment variable). If false, the caches run their
-  /// fused one-pass scalar loops instead — different code from the
-  /// dispatched two-pass scans, so the nosimd fuzz regime and the regime
-  /// determinism golden check one against the other. Simulated results are
-  /// identical either way.
+  /// If true (default), the hierarchy runs at the best way-scan level the
+  /// host supports (SimdLevel::kAvx512 when AVX-512F is detected at run
+  /// time, else scalar; demoted process-wide by the CATDB_NO_SIMD
+  /// environment variable): at kAvx512 every access goes through the
+  /// AVX-512 twins of the point and run paths. If false, it runs the scalar
+  /// path, the code a host without AVX-512F runs, so the nosimd fuzz regime
+  /// and the regime determinism golden check one against the other.
+  /// Simulated results are identical either way.
   bool simd = true;
 };
 
@@ -87,38 +87,17 @@ class MemoryHierarchy {
   }
 
   /// Access() for a caller that already holds the *line* number (not the
-  /// byte address). Defined inline so the dominant outcome, an L1 hit on a
-  /// warm line, runs entirely within the caller: prefetcher training (out
-  /// of line only when the streamer actually stages lines), the one-compare
-  /// L1 way-hint probe, and the hit bookkeeping. Everything past an L1 miss
-  /// is the out-of-line AccessPointMiss tail.
+  /// byte address). Picks the path once: the AVX-512 twin at
+  /// SimdLevel::kAvx512, else the scalar body inline in the caller.
   AccessResult AccessPoint(uint32_t core, uint64_t line, uint64_t now,
                            uint64_t llc_alloc_mask, uint32_t clos = 0) {
-    CATDB_DCHECK(core < config_.num_cores);
-    CATDB_DCHECK(clos < kMaxClos);
-    // Train the streamer before the lookup (hardware trains on the demand
-    // stream regardless of hit/miss). The common case stages nothing and
-    // stays inline.
-    if (config_.prefetcher.enabled) {
-      scratch_prefetch_lines_.clear();
-      prefetchers_[core]->OnDemandAccess(line, &scratch_prefetch_lines_);
-      if (!scratch_prefetch_lines_.empty()) {
-        EmitStagedPrefetches(core, now, llc_alloc_mask, clos);
-      }
+#if CATDB_WAY_SCAN_X86
+    if (simd_ == SimdLevel::kAvx512) {
+      return AccessPointAvx512(core, line, now, llc_alloc_mask, clos);
     }
-    size_t l1_victim = 0;
-    if (l1_[core]->LookupOrVictim(line, &l1_victim)) {
-      // An L1 hit is served entirely by the private cache: a prefetch still
-      // in flight for the same line (possible with a non-inclusive LLC,
-      // where eviction does not scrub L1 copies or pending entries) did not
-      // supply the data, so it neither counts as a prefetch hit nor delays
-      // the access; the pending entry stays until a real consumer arrives.
-      // Nothing else in the hierarchy moves.
-      stats_.l1.hits += 1;
-      core_stats_[core].l1.hits += 1;
-      return AccessResult{config_.latency.l1_hit, HitLevel::kL1};
-    }
-    return AccessPointMiss(core, line, now, llc_alloc_mask, clos, l1_victim);
+#endif
+    return AccessPointImpl<SimdLevel::kScalar>(core, line, now, llc_alloc_mask,
+                                               clos);
   }
 
   /// Batched equivalent of `n_lines` consecutive Access calls to the
@@ -220,14 +199,68 @@ class MemoryHierarchy {
   }
   HostCycleBreakdown* host_profile() const { return host_profile_; }
 
+  /// The way-scan level this hierarchy runs at, fixed at construction:
+  /// DefaultSimdLevel() when HierarchyConfig::simd is set, else kScalar.
+  SimdLevel simd_level() const { return simd_; }
+
  private:
+  // The point-access body behind AccessPoint, at way-scan level L (as are
+  // the private helpers below). Defined inline so that on the scalar path
+  // the dominant outcome, an L1 hit on a warm line, runs entirely within
+  // the caller: prefetcher training (out of line only when the streamer
+  // actually stages lines), the one-compare L1 way-hint probe, and the hit
+  // bookkeeping. Everything past an L1 miss is the out-of-line
+  // AccessPointMiss tail.
+  template <SimdLevel L>
+  AccessResult AccessPointImpl(uint32_t core, uint64_t line, uint64_t now,
+                               uint64_t llc_alloc_mask, uint32_t clos) {
+    CATDB_DCHECK(core < config_.num_cores);
+    CATDB_DCHECK(clos < kMaxClos);
+    // Train the streamer before the lookup (hardware trains on the demand
+    // stream regardless of hit/miss). The common case stages nothing and
+    // stays inline.
+    if (config_.prefetcher.enabled) {
+      scratch_prefetch_lines_.clear();
+      prefetchers_[core]->OnDemandAccess<L>(line, &scratch_prefetch_lines_);
+      if (!scratch_prefetch_lines_.empty()) {
+        EmitStagedPrefetches<L>(core, now, llc_alloc_mask, clos);
+      }
+    }
+    size_t l1_victim = 0;
+    if (l1_[core]->LookupOrVictim<L>(line, &l1_victim)) {
+      // An L1 hit is served entirely by the private cache: a prefetch still
+      // in flight for the same line (possible with a non-inclusive LLC,
+      // where eviction does not scrub L1 copies or pending entries) did not
+      // supply the data, so it neither counts as a prefetch hit nor delays
+      // the access; the pending entry stays until a real consumer arrives.
+      // Nothing else in the hierarchy moves.
+      stats_.l1.hits += 1;
+      core_stats_[core].l1.hits += 1;
+      return AccessResult{config_.latency.l1_hit, HitLevel::kL1};
+    }
+    return AccessPointMiss<L>(core, line, now, llc_alloc_mask, clos,
+                              l1_victim);
+  }
   // The batched run loop behind AccessRun, compiled twice: kProfiled=false
   // is the measured path (no timer reads anywhere); kProfiled=true times
   // each component into *host_profile_. Both evolve simulation state
   // identically.
-  template <bool kProfiled>
+  template <SimdLevel L, bool kProfiled>
   uint64_t AccessRunImpl(uint32_t core, uint64_t first_line, uint64_t n_lines,
                          uint64_t now, uint64_t llc_alloc_mask, uint32_t clos);
+#if CATDB_WAY_SCAN_X86
+  // AVX-512 twins: AccessPointImpl and AccessRunImpl at kAvx512, with their
+  // whole call tree (private caches, LLC insert, prefetcher, pending table,
+  // way_scan kernels) inlined into one function compiled for AVX-512F.
+  // Called only when simd_ is kAvx512; see hierarchy.cc.
+  __attribute__((target("avx512f"), flatten)) AccessResult AccessPointAvx512(
+      uint32_t core, uint64_t line, uint64_t now, uint64_t llc_alloc_mask,
+      uint32_t clos);
+  template <bool kProfiled>
+  __attribute__((target("avx512f"), flatten)) uint64_t AccessRunAvx512(
+      uint32_t core, uint64_t first_line, uint64_t n_lines, uint64_t now,
+      uint64_t llc_alloc_mask, uint32_t clos);
+#endif
   // Inserts a line known to miss the LLC, honouring the allocation mask; on
   // eviction performs inclusive back-invalidation of the private caches and
   // updates the CMT occupancy of filler and victim. Returns the filled
@@ -240,6 +273,7 @@ class MemoryHierarchy {
   // whether back-invalidation could have touched the accessing core's
   // private caches, which decides whether precomputed private victims are
   // still valid.
+  template <SimdLevel L>
   size_t InsertIntoLlcAt(uint64_t line, uint64_t llc_alloc_mask,
                          uint32_t clos,
                          uint64_t* evicted_line_out = nullptr,
@@ -247,12 +281,14 @@ class MemoryHierarchy {
   // Emits the lines the streamer staged in scratch_prefetch_lines_:
   // LLC-resident lines go straight to the core's L2; the rest book a DRAM
   // prefetch, enter the pending table and fill LLC + L2.
+  template <SimdLevel L>
   void EmitStagedPrefetches(uint32_t core, uint64_t now,
                             uint64_t llc_alloc_mask, uint32_t clos);
   // Out-of-line tail of AccessPoint past an L1 miss: pending-table consume,
   // L2 / shadow / LLC / DRAM, with the run loop's victim-reuse discipline.
   // `l1_victim` is the victim slot the inline L1 probe precomputed on its
   // miss.
+  template <SimdLevel L>
   AccessResult AccessPointMiss(uint32_t core, uint64_t line, uint64_t now,
                                uint64_t llc_alloc_mask, uint32_t clos,
                                size_t l1_victim);
@@ -276,6 +312,8 @@ class MemoryHierarchy {
   std::vector<uint32_t> profile_tags_;
   ShadowTagProfiler* shadow_profiler_ = nullptr;  // not owned
   HostCycleBreakdown* host_profile_ = nullptr;    // not owned
+  // The path AccessPoint and AccessRun take; see simd_level().
+  SimdLevel simd_ = SimdLevel::kScalar;
 };
 
 }  // namespace catdb::simcache

@@ -54,18 +54,20 @@ class StreamPrefetcher {
   /// match is the only match, and probe order — head re-access, then
   /// extension, then new-stream allocation — reproduces the priority of a
   /// single walk over the streams exactly (the scalar prefetcher of
-  /// tests/model_hierarchy.h).
+  /// tests/model_hierarchy.h). The way-scan level is a template argument,
+  /// as for the cache's scans.
+  template <SimdLevel L = SimdLevel::kScalar>
   void OnDemandAccess(uint64_t line, std::vector<uint64_t>* out) {
     if (!config_.enabled) return;
     const uint32_t n = config_.num_streams;
-    const int head = way_scan::FindWay(heads_.data(), n, line, simd_);
+    const int head = way_scan::FindWay<L>(heads_.data(), n, line);
     if (head >= 0) {
       // Re-access of a stream head: refresh recency, nothing to prefetch.
       stamps_[static_cast<uint32_t>(head)] = ++stamp_counter_;
       return;
     }
     if (line != 0) {  // line 0 has no predecessor (and ~0 marks free slots)
-      const int extend = way_scan::FindWay(heads_.data(), n, line - 1, simd_);
+      const int extend = way_scan::FindWay<L>(heads_.data(), n, line - 1);
       if (extend >= 0) {
         ExtendStream(static_cast<uint32_t>(extend), line, out);
         return;
@@ -76,11 +78,10 @@ class StreamPrefetcher {
     // the minimum over live streams; first occurrence is the lowest-index
     // tie-break (stamps are unique while live, but Reset leaves equal
     // zeros).
-    const int free_slot = way_scan::FindWay(heads_.data(), n, kNoStream,
-                                            simd_);
+    const int free_slot = way_scan::FindWay<L>(heads_.data(), n, kNoStream);
     const uint32_t victim = static_cast<uint32_t>(
         free_slot >= 0 ? free_slot
-                       : way_scan::MinStampWay(stamps_.data(), n, simd_));
+                       : way_scan::MinStampWay<L>(stamps_.data(), n));
     heads_[victim] = line;
     next_prefetch_[victim] = line + 1;
     run_length_[victim] = 1;
@@ -131,11 +132,6 @@ class StreamPrefetcher {
   /// Drops all tracked streams (e.g. between experiment runs).
   void Reset();
 
-  /// SIMD dispatch level for the head probes; the hierarchy sets it
-  /// alongside the caches' level (HierarchyConfig::simd / CATDB_NO_SIMD
-  /// semantics). A host-cost knob, never a semantics knob.
-  void set_simd_level(SimdLevel level) { simd_ = level; }
-
  private:
   // Inline: per-line work of every sequential stream (demand and batched).
   void ExtendStream(uint32_t s, uint64_t line, std::vector<uint64_t>* out) {
@@ -163,7 +159,6 @@ class StreamPrefetcher {
   std::vector<uint64_t> next_prefetch_;
   std::vector<uint32_t> run_length_;
   uint64_t stamp_counter_ = 0;
-  SimdLevel simd_ = SimdLevel::kScalar;
   // Batched-run cursor state (valid between BeginRun and the end of the
   // run): the cursor stream's slot, the slots of other streams whose frozen
   // heads lie inside the run's line range (ascending by head), and the next

@@ -73,6 +73,11 @@ class SetAssocCache {
   /// stays valid until the set next mutates, so the run loop can follow a
   /// hit with MarkPresentAt instead of paying MarkPresent's re-probe.
   /// Returns -1 on miss.
+  ///
+  /// This and the other methods that scan a set take the way-scan level as
+  /// a template argument (kScalar by default); the hierarchy's AVX-512
+  /// twins instantiate SimdLevel::kAvx512.
+  template <SimdLevel L = SimdLevel::kScalar>
   int64_t LookupSlotHinted(uint64_t line) {
     const uint32_t set = geometry_.SetOf(line);
     const size_t hint = SetBase(set) + way_hint_[set];
@@ -80,7 +85,7 @@ class SetAssocCache {
       lru_stamps_[hint] = ++stamp_counter_;
       return static_cast<int64_t>(hint);
     }
-    return LookupScan(set, line);
+    return LookupScan<L>(set, line);
   }
 
   /// Fused demand probe for the run loop's private-cache (full-mask) path:
@@ -93,6 +98,7 @@ class SetAssocCache {
   /// Defined inline: this is the per-line demand probe of the batched run
   /// loop, and a cross-TU call per line costs more than the scan itself on
   /// small private caches.
+  template <SimdLevel L = SimdLevel::kScalar>
   bool LookupOrVictim(uint64_t line, size_t* victim_slot) {
     const uint32_t set = geometry_.SetOf(line);
     const size_t base = SetBase(set);
@@ -101,53 +107,25 @@ class SetAssocCache {
       lru_stamps_[hint] = ++stamp_counter_;
       return true;
     }
-    if (simd_ != SimdLevel::kScalar) {
-      // Vectorized form of the fused pass below: one hit+first-empty scan
-      // over the tag run, then a lowest-stamp scan only when the set is
-      // full. Picks the identical victim — first empty way if any (the
-      // fused pass records the first invalid slot), else the first
-      // occurrence of the minimum stamp (all slots valid at that point, so
-      // the min over valid slots is the min over all slots).
-      const uint32_t n = geometry_.num_ways;
-      int empty = -1;
-      const int hit =
-          way_scan::FindWayOrEmpty(&tags_[base], n, line, simd_, &empty);
-      if (hit >= 0) {
-        lru_stamps_[base + static_cast<uint32_t>(hit)] = ++stamp_counter_;
-        way_hint_[set] = static_cast<uint8_t>(hit);
-        return true;
-      }
-      *victim_slot =
-          base + static_cast<uint32_t>(
-                     empty >= 0
-                         ? empty
-                         : way_scan::MinStampWay(&lru_stamps_[base], n, simd_));
-      return false;
-    }
-    // One pass plays both roles: the lookup scan (a hole cannot end it —
-    // the line may sit in a later way) and FillVictim's full-mask victim
-    // walk (first empty way wins, else the lowest-index LRU way). The
-    // victim the pass reports is exactly the one FillVictim would pick on
-    // this miss.
-    int64_t first_invalid = -1;
-    size_t victim = base;
-    uint64_t oldest = ~uint64_t{0};
-    for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
-      const size_t slot = base + w;
-      if (tags_[slot] == line) {
-        lru_stamps_[slot] = ++stamp_counter_;
-        way_hint_[set] = static_cast<uint8_t>(w);
-        return true;
-      }
-      if (tags_[slot] == kInvalidTag) {
-        if (first_invalid < 0) first_invalid = static_cast<int64_t>(slot);
-      } else if (lru_stamps_[slot] < oldest) {
-        oldest = lru_stamps_[slot];
-        victim = slot;
-      }
+    // One hit + first-empty scan over the tag run, then a lowest-stamp scan
+    // only when the set is full. Picks FillVictim's full-mask victim: the
+    // first empty way if any, else the first occurrence of the minimum
+    // stamp (all slots valid at that point, so the min over valid slots is
+    // the min over all slots).
+    const uint32_t n = geometry_.num_ways;
+    int empty = -1;
+    const int hit =
+        way_scan::FindWayOrEmpty<L>(&tags_[base], n, line, &empty);
+    if (hit >= 0) {
+      lru_stamps_[base + static_cast<uint32_t>(hit)] = ++stamp_counter_;
+      way_hint_[set] = static_cast<uint8_t>(hit);
+      return true;
     }
     *victim_slot =
-        first_invalid >= 0 ? static_cast<size_t>(first_invalid) : victim;
+        base + static_cast<uint32_t>(
+                   empty >= 0
+                       ? empty
+                       : way_scan::MinStampWay<L>(&lru_stamps_[base], n));
     return false;
   }
 
@@ -187,11 +165,12 @@ class SetAssocCache {
   }
 
   /// Slot-returning Contains (no promotion).
+  template <SimdLevel L = SimdLevel::kScalar>
   int64_t FindSlotHinted(uint64_t line) const {
     const uint32_t set = geometry_.SetOf(line);
     const size_t hint = SetBase(set) + way_hint_[set];
     if (tags_[hint] == line) return static_cast<int64_t>(hint);
-    return FindSlot(set, line);
+    return FindSlot<L>(set, line);
   }
 
   /// Inserts a line, evicting (if needed) the LRU line among the ways set in
@@ -204,6 +183,7 @@ class SetAssocCache {
   /// (the hierarchy) guarantee this via CAT mask validation.
   /// Defined inline (with the rest of the fill family below): inserts run
   /// once per simulated fill.
+  template <SimdLevel L = SimdLevel::kScalar>
   std::optional<EvictedLine> Insert(uint64_t line, uint64_t alloc_mask,
                                     uint16_t owner = 0) {
     alloc_mask &= FullMask();
@@ -213,41 +193,45 @@ class SetAssocCache {
     // Already present (in any way): just promote. CAT restricts allocation,
     // not residency. The original filler keeps monitoring ownership.
     CATDB_DCHECK(line != kInvalidTag);
-    if (LookupSlotHinted(line) >= 0) return std::nullopt;
-    return FillVictim(set, line, alloc_mask, owner, nullptr);
+    if (LookupSlotHinted<L>(line) >= 0) return std::nullopt;
+    return FillVictim<L>(set, line, alloc_mask, owner, nullptr);
   }
 
   /// Convenience: insert with all ways allocatable.
+  template <SimdLevel L = SimdLevel::kScalar>
   std::optional<EvictedLine> Insert(uint64_t line) {
-    return Insert(line, FullMask());
+    return Insert<L>(line, FullMask());
   }
 
   /// Insert for callers that have just established the line is absent (a
   /// failed Lookup/Contains on this cache with no intervening insert): skips
   /// the already-present scan and goes straight to victim selection. Picks
   /// the same victim as Insert.
+  template <SimdLevel L = SimdLevel::kScalar>
   std::optional<EvictedLine> InsertNew(uint64_t line, uint64_t alloc_mask,
                                        uint16_t owner = 0) {
     CATDB_DCHECK(!Contains(line));
     alloc_mask &= FullMask();
     CATDB_DCHECK(alloc_mask != 0);
-    return FillVictim(geometry_.SetOf(line), line, alloc_mask, owner,
-                      nullptr);
+    return FillVictim<L>(geometry_.SetOf(line), line, alloc_mask, owner,
+                         nullptr);
   }
 
+  template <SimdLevel L = SimdLevel::kScalar>
   std::optional<EvictedLine> InsertNew(uint64_t line) {
-    return InsertNew(line, FullMask());
+    return InsertNew<L>(line, FullMask());
   }
 
   /// InsertNew that also reports the slot the line was filled into, so the
   /// run loop can mark presence without re-probing.
+  template <SimdLevel L = SimdLevel::kScalar>
   std::optional<EvictedLine> InsertNewAt(uint64_t line, uint64_t alloc_mask,
                                          uint16_t owner, size_t* slot_out) {
     CATDB_DCHECK(!Contains(line));
     alloc_mask &= FullMask();
     CATDB_DCHECK(alloc_mask != 0);
-    return FillVictim(geometry_.SetOf(line), line, alloc_mask, owner,
-                      slot_out);
+    return FillVictim<L>(geometry_.SetOf(line), line, alloc_mask, owner,
+                         slot_out);
   }
 
   /// Sets bit `core` in the presence mask of a resident line. The hierarchy
@@ -279,23 +263,15 @@ class SetAssocCache {
     presence_[slot] |= uint32_t{1} << core;
   }
 
-  /// Selects the SIMD dispatch level for way search. Constructed at
-  /// DefaultSimdLevel(), i.e. the best the host supports unless CATDB_NO_SIMD
-  /// demotes the process to scalar; the hierarchy overrides it per machine
-  /// so differential regimes can pit SIMD-on against SIMD-off in one
-  /// process. Every level computes identical results — this is a host-cost
-  /// knob, never a semantics knob.
-  void set_simd_level(SimdLevel level) { simd_ = level; }
-  SimdLevel simd_level() const { return simd_; }
-
   /// Owner tag of a resident line (-1 if absent); for monitoring tests.
   int OwnerOf(uint64_t line) const;
 
   /// Removes the line if present. Returns true if it was present. Inline:
   /// inclusive back-invalidation calls this per present core on every LLC
   /// eviction.
+  template <SimdLevel L = SimdLevel::kScalar>
   bool Invalidate(uint64_t line) {
-    const int64_t slot = FindSlot(geometry_.SetOf(line), line);
+    const int64_t slot = FindSlot<L>(geometry_.SetOf(line), line);
     if (slot < 0) return false;
     // Stamp/presence/owner go stale in the emptied slot; FillVictim resets
     // them on the next fill and nothing reads them while the tag is invalid.
@@ -335,39 +311,16 @@ class SetAssocCache {
  private:
   // Victim selection + fill for a line known to be absent from `set`.
   // Reports the filled slot through `slot_out` when non-null.
+  template <SimdLevel L = SimdLevel::kScalar>
   std::optional<EvictedLine> FillVictim(uint32_t set, uint64_t line,
                                         uint64_t alloc_mask, uint16_t owner,
                                         size_t* slot_out) {
     const size_t base = SetBase(set);
-    // Victim selection walks only the ways set in the allocation mask
-    // (ascending, matching LRU tie-breaking by lowest way index) and stops
-    // early at the first empty way; only the hot tag/stamp arrays are read.
-    // The full-mask case (every private cache, plus unrestricted LLC fills)
-    // takes the vectorized decomposition — first empty way, else first
-    // occurrence of the lowest stamp — which selects the identical victim;
-    // partial CAT masks keep the scalar bit-walk, whose mask gather SIMD
-    // cannot beat at <= 20 ways.
-    int victim = -1;
-    if (simd_ != SimdLevel::kScalar && alloc_mask == FullMask()) {
-      const uint32_t n = geometry_.num_ways;
-      victim = way_scan::FindWay(&tags_[base], n, kInvalidTag, simd_);
-      if (victim < 0) {
-        victim = way_scan::MinStampWay(&lru_stamps_[base], n, simd_);
-      }
-    } else {
-      uint64_t oldest = ~uint64_t{0};
-      for (uint64_t cand = alloc_mask; cand != 0; cand &= cand - 1) {
-        const uint32_t w = static_cast<uint32_t>(__builtin_ctzll(cand));
-        if (tags_[base + w] == kInvalidTag) {
-          victim = static_cast<int>(w);
-          break;
-        }
-        if (lru_stamps_[base + w] < oldest) {
-          oldest = lru_stamps_[base + w];
-          victim = static_cast<int>(w);
-        }
-      }
-    }
+    // Victim selection reads only the hot tag/stamp arrays: the first empty
+    // way the allocation mask allows, else the allowed way with the lowest
+    // stamp (ties to the lowest way index).
+    const int victim = way_scan::VictimWay<L>(
+        &tags_[base], &lru_stamps_[base], geometry_.num_ways, alloc_mask);
     CATDB_DCHECK(victim >= 0);
 
     const size_t slot = base + static_cast<uint32_t>(victim);
@@ -388,8 +341,9 @@ class SetAssocCache {
   }
   // Full-set scan half of LookupSlotHinted (hint already missed). Promotes
   // and re-aims the hint on hit; returns the slot or -1.
+  template <SimdLevel L = SimdLevel::kScalar>
   int64_t LookupScan(uint32_t set, uint64_t line) {
-    const int64_t slot = FindSlot(set, line);
+    const int64_t slot = FindSlot<L>(set, line);
     if (slot >= 0) {
       lru_stamps_[static_cast<size_t>(slot)] = ++stamp_counter_;
       way_hint_[set] =
@@ -400,14 +354,11 @@ class SetAssocCache {
   // Full-set scan half of FindSlotHinted (no promotion). Empty ways hold
   // kInvalidTag, which never equals a real line address, so matching is one
   // tag compare per way over a dense array, dispatched through the way_scan
-  // SIMD primitives (2 or 4 ways per compare; scalar when simd_ is off).
-  // The hot callers (the LLC probe before a prefetch insert,
-  // back-invalidation of private caches) miss far more often than they hit,
-  // so the match-mask form beats an early-exit scalar loop on both counts.
+  // primitives (eight ways per compare at kAvx512).
+  template <SimdLevel L = SimdLevel::kScalar>
   int64_t FindSlot(uint32_t set, uint64_t line) const {
     const size_t base = SetBase(set);
-    const int w = way_scan::FindWay(&tags_[base], geometry_.num_ways, line,
-                                    simd_);
+    const int w = way_scan::FindWay<L>(&tags_[base], geometry_.num_ways, line);
     return w < 0 ? -1 : static_cast<int64_t>(base + static_cast<uint32_t>(w));
   }
 
@@ -430,8 +381,6 @@ class SetAssocCache {
   std::vector<uint8_t> way_hint_;
   uint64_t stamp_counter_ = 0;
   uint64_t valid_count_ = 0;
-  // Way-search dispatch level; see set_simd_level.
-  SimdLevel simd_ = DefaultSimdLevel();
 };
 
 }  // namespace catdb::simcache

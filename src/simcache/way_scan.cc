@@ -3,22 +3,16 @@
 #include <cstdlib>
 #include <cstring>
 
-#if CATDB_WAY_SCAN_X86
-#include <immintrin.h>
-#endif
-
 namespace catdb::simcache {
 
 SimdLevel DetectSimdLevel() {
 #if CATDB_WAY_SCAN_X86
-  // SSE2 is part of the x86-64 baseline; AVX2 needs a runtime check because
-  // the rest of the binary is compiled for the baseline and must keep
-  // running on older hosts.
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  return SimdLevel::kSse2;
-#else
-  return SimdLevel::kScalar;
+  // The binary is compiled for the x86-64 baseline and must keep running on
+  // hosts without AVX-512F, so the kernels are enabled by this run-time
+  // check (which also requires the OS to save the AVX-512 register state).
+  if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
 #endif
+  return SimdLevel::kScalar;
 }
 
 SimdLevel DefaultSimdLevel() {
@@ -31,104 +25,5 @@ SimdLevel DefaultSimdLevel() {
   }();
   return level;
 }
-
-#if CATDB_WAY_SCAN_X86
-namespace way_scan {
-
-__attribute__((target("avx2"))) int FindWayAvx2(const uint64_t* tags,
-                                                uint32_t n, uint64_t needle) {
-  const __m256i nv = _mm256_set1_epi64x(static_cast<long long>(needle));
-  uint32_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i t =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + w));
-    const int mask =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(t, nv)));
-    if (mask != 0) return static_cast<int>(w) + __builtin_ctz(mask);
-  }
-  for (; w < n; ++w) {
-    if (tags[w] == needle) return static_cast<int>(w);
-  }
-  return -1;
-}
-
-__attribute__((target("avx2"))) int FindWayOrEmptyAvx2(const uint64_t* tags,
-                                                       uint32_t n,
-                                                       uint64_t needle,
-                                                       int* first_empty) {
-  const __m256i nv = _mm256_set1_epi64x(static_cast<long long>(needle));
-  const __m256i iv = _mm256_set1_epi64x(-1);
-  int empty = -1;
-  uint32_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i t =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + w));
-    const int hit =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(t, nv)));
-    if (hit != 0) {
-      *first_empty = empty;
-      return static_cast<int>(w) + __builtin_ctz(hit);
-    }
-    if (empty < 0) {
-      const int em =
-          _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(t, iv)));
-      if (em != 0) empty = static_cast<int>(w) + __builtin_ctz(em);
-    }
-  }
-  for (; w < n; ++w) {
-    if (tags[w] == needle) {
-      *first_empty = empty;
-      return static_cast<int>(w);
-    }
-    if (empty < 0 && tags[w] == kEmptyTag) empty = static_cast<int>(w);
-  }
-  *first_empty = empty;
-  return -1;
-}
-
-__attribute__((target("avx2"))) int MinStampWayAvx2(const uint64_t* stamps,
-                                                    uint32_t n) {
-  // Stamps stay below 2^63 (see the SSE2 variant), so the signed 64-bit
-  // compare orders them correctly. Strict compares in the loop plus the
-  // lower-index preference in the reduce yield the first occurrence of the
-  // minimum, matching the scalar walk.
-  __m256i best =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(stamps));
-  __m256i best_idx = _mm256_set_epi64x(3, 2, 1, 0);
-  __m256i idx = best_idx;
-  const __m256i step = _mm256_set1_epi64x(4);
-  uint32_t w = 4;
-  for (; w + 4 <= n; w += 4) {
-    idx = _mm256_add_epi64(idx, step);
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(stamps + w));
-    const __m256i lt = _mm256_cmpgt_epi64(best, cur);  // cur < best
-    best = _mm256_blendv_epi8(best, cur, lt);
-    best_idx = _mm256_blendv_epi8(best_idx, idx, lt);
-  }
-  alignas(32) uint64_t v[4];
-  alignas(32) uint64_t ix[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(v), best);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(ix), best_idx);
-  uint64_t best_val = v[0];
-  uint64_t best_i = ix[0];
-  for (int lane = 1; lane < 4; ++lane) {
-    if (v[lane] < best_val ||
-        (v[lane] == best_val && ix[lane] < best_i)) {
-      best_val = v[lane];
-      best_i = ix[lane];
-    }
-  }
-  for (; w < n; ++w) {
-    if (stamps[w] < best_val) {
-      best_val = stamps[w];
-      best_i = w;
-    }
-  }
-  return static_cast<int>(best_i);
-}
-
-}  // namespace way_scan
-#endif  // CATDB_WAY_SCAN_X86
 
 }  // namespace catdb::simcache

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 
+#include "common/bits.h"
+
 #if defined(__x86_64__)
-#include <emmintrin.h>
+#include <immintrin.h>
 #define CATDB_WAY_SCAN_X86 1
 #else
 #define CATDB_WAY_SCAN_X86 0
@@ -12,20 +14,25 @@
 
 namespace catdb::simcache {
 
-/// SIMD dispatch level for the set-associative cache's way search. The SoA
-/// layout keeps a set's tags (and LRU stamps) in one dense run of uint64_t,
-/// so the two primitives every probe reduces to — "first way whose tag equals
-/// x" and "way with the lowest stamp" — vectorize directly:
-///   kScalar : plain loops, bit-identical oracle (CATDB_NO_SIMD=1 selects it
-///             at runtime; also the only level on non-x86 builds).
-///   kSse2   : 2 ways per step; SSE2 is the x86-64 baseline, always present.
-///   kAvx2   : 4 ways per step; runtime-detected, compiled with a per-
-///             function target attribute so the baseline binary still runs
-///             on pre-AVX2 hosts.
-/// The level never changes simulated results — only which instructions
-/// perform the identical search (pinned by tests/soa_cache_test.cc and the
-/// nosimd differential-fuzz regime).
-enum class SimdLevel : uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// SIMD dispatch level for the simulator's way scans. The SoA layout keeps a
+/// set's tags (and LRU stamps) in one dense run of uint64_t, so every probe
+/// reduces to four primitives — first way whose tag equals x, the fused
+/// hit + first-empty scan, first way with the lowest stamp, and victim
+/// selection under a CAT allocation mask:
+///   kScalar : plain loops. The oracle, the only level on non-x86 builds and
+///             on hosts without AVX-512F, and the level CATDB_NO_SIMD=1 and
+///             HierarchyConfig::simd=false select.
+///   kAvx512 : masked AVX-512F kernels, one 64-bit lane per way: one compare
+///             covers an 8-way set, three cover a 20-way set, and the
+///             allocation mask is the lane mask. Detected at run time. The
+///             kernels carry a per-function target attribute; the hierarchy
+///             instantiates its point and run paths at this level only
+///             inside target("avx512f") twins (hierarchy.cc), so the rest of
+///             the binary stays baseline x86-64.
+/// The level never changes simulated results (pinned by
+/// tests/soa_cache_test.cc, the model-hierarchy tests and the nosimd fuzz
+/// regime).
+enum class SimdLevel : uint8_t { kScalar = 0, kAvx512 = 1 };
 
 /// Highest level this host supports, ignoring the environment switch.
 SimdLevel DetectSimdLevel();
@@ -56,7 +63,7 @@ inline constexpr uint64_t kEmptyTag = ~uint64_t{0};
 /// miss *first_empty receives the authoritative first way holding kEmptyTag
 /// (-1 if none) — exactly what full-mask victim selection wants first. On a
 /// hit *first_empty is written but unspecified: callers discard it (a hit
-/// needs no victim), and the vector kernels order the hit check before the
+/// needs no victim), and the vector kernel orders the hit check before the
 /// step's empty check, so an empty way sharing a vector step with the hit
 /// may go unreported there.
 inline int FindWayOrEmptyScalar(const uint64_t* tags, uint32_t n,
@@ -89,193 +96,194 @@ inline int MinStampWayScalar(const uint64_t* stamps, uint32_t n) {
   return best;
 }
 
+/// Victim way for a fill under a CAT allocation mask, as a walk over the
+/// mask's set bits (ascending, so LRU ties break to the lowest way index)
+/// that stops at the first empty way: the first empty allowed way, else the
+/// first allowed way with the lowest stamp. `alloc_mask` selects ways below
+/// the set's way count; -1 only for an empty mask.
+inline int VictimWayMaskedScalar(const uint64_t* tags, const uint64_t* stamps,
+                                 uint64_t alloc_mask) {
+  int victim = -1;
+  uint64_t oldest = ~uint64_t{0};
+  for (uint64_t cand = alloc_mask; cand != 0; cand &= cand - 1) {
+    const uint32_t w = static_cast<uint32_t>(__builtin_ctzll(cand));
+    if (tags[w] == kEmptyTag) return static_cast<int>(w);
+    if (stamps[w] < oldest) {
+      oldest = stamps[w];
+      victim = static_cast<int>(w);
+    }
+  }
+  return victim;
+}
+
 #if CATDB_WAY_SCAN_X86
 
-/// SSE2 tag compare, 2 ways per step. SSE2 has no 64-bit equality, so a
-/// 32-bit lane compare is folded with its pair-swapped self: a 64-bit lane
-/// matches iff both halves matched, and the lane's sign bit (read via
-/// movemask_pd) then reflects the full-width match. The vector loop covers
-/// whole pairs only — reading past `n` could touch the next set's ways, or
-/// run off the arrays on the last set — and a scalar step takes the odd tail.
-inline int FindWaySse2(const uint64_t* tags, uint32_t n, uint64_t needle) {
-  const __m128i nv = _mm_set1_epi64x(static_cast<long long>(needle));
-  uint32_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    const __m128i t =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + w));
-    const __m128i eq32 = _mm_cmpeq_epi32(t, nv);
-    const __m128i eq64 = _mm_and_si128(
-        eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-    const int mask = _mm_movemask_pd(_mm_castsi128_pd(eq64));
-    if (mask != 0) return static_cast<int>(w) + __builtin_ctz(mask);
+// AVX-512F kernels. Each walks the run in steps of eight ways with masked
+// loads, so it is valid at every way count from 1 to 64: lanes past `n` are
+// neither read (a masked load does not touch, and cannot fault on, masked-off
+// elements, so the scan never strays into the next set or off the array)
+// nor compared. Only a target("avx512f") caller can inline them. The
+// explicit-source intrinsic forms (mask_min, mask_permutexvar, mask_cmpeq)
+// are deliberate: GCC 12 raises -Wmaybe-uninitialized inside
+// avx512fintrin.h for their unmasked shorthands.
+#define CATDB_AVX512_KERNEL __attribute__((target("avx512f"))) inline
+
+/// Lanes of the eight-way step starting `left` ways before the run's end.
+inline __mmask8 StepLanes(uint32_t left) {
+  return left >= 8 ? __mmask8{0xFF} : static_cast<__mmask8>((1u << left) - 1);
+}
+
+CATDB_AVX512_KERNEL int FindWayAvx512(const uint64_t* tags, uint32_t n,
+                                      uint64_t needle) {
+  const __m512i nv = _mm512_set1_epi64(static_cast<long long>(needle));
+  for (uint32_t w = 0; w < n; w += 8) {
+    const __mmask8 k = StepLanes(n - w);
+    const unsigned hit = _mm512_mask_cmpeq_epu64_mask(
+        k, _mm512_maskz_loadu_epi64(k, tags + w), nv);
+    if (hit != 0) return static_cast<int>(w) + __builtin_ctz(hit);
   }
-  if (w < n && tags[w] == needle) return static_cast<int>(w);
   return -1;
 }
 
-/// SSE2 fused hit + first-empty scan (see FindWayOrEmptyScalar for the
-/// contract). The empty check per pair is skipped once an empty way was
-/// found — on warm sets (no empties at all) it costs one predictable branch
-/// per pair, and the whole probe is a single pass over the tag run instead
-/// of the two passes separate hit and empty scans would make.
-inline int FindWayOrEmptySse2(const uint64_t* tags, uint32_t n,
-                              uint64_t needle, int* first_empty) {
-  const __m128i nv = _mm_set1_epi64x(static_cast<long long>(needle));
-  const __m128i iv = _mm_set1_epi64x(-1);
+CATDB_AVX512_KERNEL int FindWayOrEmptyAvx512(const uint64_t* tags,
+                                             uint32_t n, uint64_t needle,
+                                             int* first_empty) {
+  const __m512i nv = _mm512_set1_epi64(static_cast<long long>(needle));
+  const __m512i ev = _mm512_set1_epi64(-1);
   int empty = -1;
-  uint32_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    const __m128i t =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + w));
-    const __m128i eq32 = _mm_cmpeq_epi32(t, nv);
-    const __m128i eq64 = _mm_and_si128(
-        eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-    const int hit = _mm_movemask_pd(_mm_castsi128_pd(eq64));
+  for (uint32_t w = 0; w < n; w += 8) {
+    const __mmask8 k = StepLanes(n - w);
+    const __m512i t = _mm512_maskz_loadu_epi64(k, tags + w);
+    const unsigned hit = _mm512_mask_cmpeq_epu64_mask(k, t, nv);
     if (hit != 0) {
       *first_empty = empty;
       return static_cast<int>(w) + __builtin_ctz(hit);
     }
     if (empty < 0) {
-      // kEmptyTag is all-ones, so a 32-bit lane compare needs no pair fold:
-      // both halves match iff the 64-bit lane is all-ones.
-      const __m128i em32 = _mm_cmpeq_epi32(t, iv);
-      const __m128i em64 = _mm_and_si128(
-          em32, _mm_shuffle_epi32(em32, _MM_SHUFFLE(2, 3, 0, 1)));
-      const int em = _mm_movemask_pd(_mm_castsi128_pd(em64));
+      const unsigned em = _mm512_mask_cmpeq_epu64_mask(k, t, ev);
       if (em != 0) empty = static_cast<int>(w) + __builtin_ctz(em);
     }
-  }
-  if (w < n) {
-    if (tags[w] == needle) {
-      *first_empty = empty;
-      return static_cast<int>(w);
-    }
-    if (empty < 0 && tags[w] == kEmptyTag) empty = static_cast<int>(w);
   }
   *first_empty = empty;
   return -1;
 }
 
-/// SSE2 min-stamp scan, 2 ways per step, tracking a parallel index vector.
-/// Stamps stay far below 2^63 (one increment per simulated cache touch), so
-/// "a < b" equals the sign of the 64-bit difference; the sign bit is smeared
-/// across its lane (shuffle + arithmetic shift) to form a blend mask. The
-/// strict less-than keeps the earlier index on equal values within a lane,
-/// and the final two-lane reduce prefers the lower index on ties, so the
-/// result is the first occurrence of the minimum — the scalar semantics.
-/// Requires n >= 2 (dispatcher guarantees it).
-inline int MinStampWaySse2(const uint64_t* stamps, uint32_t n) {
-  __m128i best =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(stamps));
-  __m128i best_idx = _mm_set_epi64x(1, 0);
-  __m128i idx = best_idx;
-  const __m128i step = _mm_set1_epi64x(2);
-  uint32_t w = 2;
-  for (; w + 2 <= n; w += 2) {
-    idx = _mm_add_epi64(idx, step);
-    const __m128i cur =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(stamps + w));
-    const __m128i diff = _mm_sub_epi64(cur, best);
-    const __m128i lt = _mm_srai_epi32(
-        _mm_shuffle_epi32(diff, _MM_SHUFFLE(3, 3, 1, 1)), 31);
-    best = _mm_or_si128(_mm_and_si128(lt, cur), _mm_andnot_si128(lt, best));
-    best_idx =
-        _mm_or_si128(_mm_and_si128(lt, idx), _mm_andnot_si128(lt, best_idx));
-  }
-  alignas(16) uint64_t v[2];
-  alignas(16) uint64_t ix[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(v), best);
-  _mm_store_si128(reinterpret_cast<__m128i*>(ix), best_idx);
-  uint64_t best_val = v[0];
-  uint64_t best_i = ix[0];
-  if (v[1] < best_val || (v[1] == best_val && ix[1] < best_i)) {
-    best_val = v[1];
-    best_i = ix[1];
-  }
-  for (; w < n; ++w) {
-    if (stamps[w] < best_val) {
-      best_val = stamps[w];
-      best_i = w;
-    }
-  }
-  return static_cast<int>(best_i);
+/// The minimum of the eight unsigned lanes, broadcast to every lane: three
+/// rounds of min against the lanes at distance 4, 2 and 1.
+CATDB_AVX512_KERNEL __m512i BroadcastMinU64(__m512i m) {
+  const __m512i swap4 = _mm512_set_epi64(3, 2, 1, 0, 7, 6, 5, 4);
+  const __m512i swap2 = _mm512_set_epi64(5, 4, 7, 6, 1, 0, 3, 2);
+  const __m512i swap1 = _mm512_set_epi64(6, 7, 4, 5, 2, 3, 0, 1);
+  m = _mm512_mask_min_epu64(m, 0xFF, m,
+                            _mm512_mask_permutexvar_epi64(m, 0xFF, swap4, m));
+  m = _mm512_mask_min_epu64(m, 0xFF, m,
+                            _mm512_mask_permutexvar_epi64(m, 0xFF, swap2, m));
+  return _mm512_mask_min_epu64(
+      m, 0xFF, m, _mm512_mask_permutexvar_epi64(m, 0xFF, swap1, m));
 }
 
-/// AVX2 variants, 4 ways per step; out of line (way_scan.cc) behind a
-/// per-function target("avx2") attribute and only called after runtime
-/// detection. Same first-match / first-minimum semantics.
-int FindWayAvx2(const uint64_t* tags, uint32_t n, uint64_t needle);
-int FindWayOrEmptyAvx2(const uint64_t* tags, uint32_t n, uint64_t needle,
-                       int* first_empty);
-int MinStampWayAvx2(const uint64_t* stamps, uint32_t n);  // requires n >= 4
+/// First occurrence of the minimum: the lane-wise minimum over all steps,
+/// reduced across lanes, then the lowest way holding that value (unsigned
+/// compares throughout, so any stamp value orders correctly). n >= 1.
+CATDB_AVX512_KERNEL int MinStampWayAvx512(const uint64_t* stamps, uint32_t n) {
+  __m512i m = _mm512_set1_epi64(-1);
+  for (uint32_t w = 0; w < n; w += 8) {
+    const __mmask8 k = StepLanes(n - w);
+    m = _mm512_mask_min_epu64(m, k, m, _mm512_maskz_loadu_epi64(k, stamps + w));
+  }
+  const __m512i minv = BroadcastMinU64(m);
+  for (uint32_t w = 0;; w += 8) {
+    const __mmask8 k = StepLanes(n - w);
+    const unsigned eq = _mm512_mask_cmpeq_epu64_mask(
+        k, _mm512_maskz_loadu_epi64(k, stamps + w), minv);
+    if (eq != 0) return static_cast<int>(w) + __builtin_ctz(eq);
+  }
+}
+
+/// VictimWayMaskedScalar with the allocation mask as the lane mask: full and
+/// CAT-restricted fills share this one routine. The empty check and the
+/// stamp minimum ride in one pass; an empty allowed way ends the scan, since
+/// it beats every stamp.
+CATDB_AVX512_KERNEL int VictimWayAvx512(const uint64_t* tags,
+                                        const uint64_t* stamps, uint32_t n,
+                                        uint64_t alloc_mask) {
+  const __m512i ev = _mm512_set1_epi64(-1);
+  __m512i m = ev;
+  for (uint32_t w = 0; w < n; w += 8) {
+    const __mmask8 k = static_cast<__mmask8>(alloc_mask >> w);
+    const unsigned em = _mm512_mask_cmpeq_epu64_mask(
+        k, _mm512_maskz_loadu_epi64(k, tags + w), ev);
+    if (em != 0) return static_cast<int>(w) + __builtin_ctz(em);
+    m = _mm512_mask_min_epu64(m, k, m, _mm512_maskz_loadu_epi64(k, stamps + w));
+  }
+  const __m512i minv = BroadcastMinU64(m);
+  for (uint32_t w = 0; w < n; w += 8) {
+    const __mmask8 k = static_cast<__mmask8>(alloc_mask >> w);
+    const unsigned eq = _mm512_mask_cmpeq_epu64_mask(
+        k, _mm512_maskz_loadu_epi64(k, stamps + w), minv);
+    if (eq != 0) return static_cast<int>(w) + __builtin_ctz(eq);
+  }
+  return -1;
+}
+
+#undef CATDB_AVX512_KERNEL
 
 #endif  // CATDB_WAY_SCAN_X86
 
-/// Minimum way counts at which the dispatched scans use each vector width.
-/// Measured, not derived (EXPERIMENTS.md, "SIMD dispatch policy"): on the
-/// reference host the early-exit scalar loops won an interleaved A/B at
-/// *every* configured scan width — the 8-way L1/L2 sets, the 16-slot
-/// prefetcher stream table, and the 20-way LLC. SSE2 has no 64-bit
-/// compare, so each SSE2 step pays a 32-bit-lane fold (compare + shuffle +
-/// and + movemask) whose latency exceeds the handful of predictable scalar
-/// compares it replaces; AVX2 compares 64-bit lanes natively, but its
-/// out-of-line call adds call/vzeroupper overhead. 64 is the allocation-mask
-/// width — no configurable geometry reaches it, so both vector tiers are
-/// measured off. The kernels stay compiled, runtime-selectable, and pinned
-/// by tests/soa_cache_test.cc plus the nosimd fuzz regime: a host where
-/// vector integer compare is cheaper only needs these two constants
-/// lowered. Levels below a threshold fall through to the narrower scan.
-inline constexpr uint32_t kSse2MinWays = 64;
-inline constexpr uint32_t kAvx2MinWays = 64;
+// Dispatched scans. The level is a template argument: the hierarchy's
+// AVX-512 twins instantiate kAvx512 and everything else kScalar, so the
+// scalar path holds no branch to, and no call of, a kernel.
 
-/// Dispatched first-match scan. The level is loop-invariant per cache, so
-/// the branches predict perfectly; narrow sets (below the thresholds above)
-/// always take the scalar loop — the vector setup would cost more than it
-/// saves.
-inline int FindWay(const uint64_t* tags, uint32_t n, uint64_t needle,
-                   SimdLevel level) {
+/// Dispatched first-match scan.
+template <SimdLevel L>
+inline int FindWay(const uint64_t* tags, uint32_t n, uint64_t needle) {
 #if CATDB_WAY_SCAN_X86
-  if (level == SimdLevel::kAvx2 && n >= kAvx2MinWays) {
-    return FindWayAvx2(tags, n, needle);
+  if constexpr (L == SimdLevel::kAvx512) {
+    return FindWayAvx512(tags, n, needle);
   }
-  if (level != SimdLevel::kScalar && n >= kSse2MinWays) {
-    return FindWaySse2(tags, n, needle);
-  }
-#else
-  (void)level;
 #endif
   return FindWayScalar(tags, n, needle);
 }
 
-/// Dispatched fused hit + first-empty scan; same thresholds as FindWay.
+/// Dispatched fused hit + first-empty scan.
+template <SimdLevel L>
 inline int FindWayOrEmpty(const uint64_t* tags, uint32_t n, uint64_t needle,
-                          SimdLevel level, int* first_empty) {
+                          int* first_empty) {
 #if CATDB_WAY_SCAN_X86
-  if (level == SimdLevel::kAvx2 && n >= kAvx2MinWays) {
-    return FindWayOrEmptyAvx2(tags, n, needle, first_empty);
+  if constexpr (L == SimdLevel::kAvx512) {
+    return FindWayOrEmptyAvx512(tags, n, needle, first_empty);
   }
-  if (level != SimdLevel::kScalar && n >= kSse2MinWays) {
-    return FindWayOrEmptySse2(tags, n, needle, first_empty);
-  }
-#else
-  (void)level;
 #endif
   return FindWayOrEmptyScalar(tags, n, needle, first_empty);
 }
 
 /// Dispatched first-minimum scan. n >= 1.
-inline int MinStampWay(const uint64_t* stamps, uint32_t n, SimdLevel level) {
+template <SimdLevel L>
+inline int MinStampWay(const uint64_t* stamps, uint32_t n) {
 #if CATDB_WAY_SCAN_X86
-  if (level == SimdLevel::kAvx2 && n >= kAvx2MinWays) {
-    return MinStampWayAvx2(stamps, n);
-  }
-  if (level != SimdLevel::kScalar && n >= kSse2MinWays) {
-    return MinStampWaySse2(stamps, n);
-  }
-#else
-  (void)level;
+  if constexpr (L == SimdLevel::kAvx512) return MinStampWayAvx512(stamps, n);
 #endif
   return MinStampWayScalar(stamps, n);
+}
+
+/// Dispatched victim selection: the first empty way allowed by
+/// `alloc_mask`, else the first allowed way with the lowest stamp.
+/// `alloc_mask` is nonzero and selects ways below n. The scalar level splits
+/// the full mask (a first-empty scan, then a minimum scan) from a CAT
+/// restriction (the bit walk); both pick the same victim.
+template <SimdLevel L>
+inline int VictimWay(const uint64_t* tags, const uint64_t* stamps, uint32_t n,
+                     uint64_t alloc_mask) {
+#if CATDB_WAY_SCAN_X86
+  if constexpr (L == SimdLevel::kAvx512) {
+    return VictimWayAvx512(tags, stamps, n, alloc_mask);
+  }
+#endif
+  if (alloc_mask == MaskForWays(n)) {
+    const int empty = FindWayScalar(tags, n, kEmptyTag);
+    return empty >= 0 ? empty : MinStampWayScalar(stamps, n);
+  }
+  return VictimWayMaskedScalar(tags, stamps, alloc_mask);
 }
 
 }  // namespace way_scan

@@ -286,12 +286,12 @@ TEST(DeterminismGoldenTest, OltpScanReportIdenticalAcrossFreshMachines) {
 }
 
 // Host-side execution regimes must not move a single counter of a full
-// workload run: the scalar access loop (batched_runs off) and the fused
-// scalar way scan (hierarchy simd off) reproduce the default machine's
-// report end to end, operators and scheduler included, on both the fig01
-// and the fig11 shape. The per-access equivalence lives in
-// batched_access_test.cc and the model-hierarchy tests; this golden pins
-// the whole stack.
+// workload run: the scalar access loop (batched_runs off) and the scalar
+// way-scan path (hierarchy simd off; on a host with AVX-512F the default
+// runs the AVX-512 twins) reproduce the default machine's report end to
+// end, operators and scheduler included, on both the fig01 and the fig11
+// shape. The per-access equivalence lives in batched_access_test.cc and
+// the model-hierarchy tests; this golden pins the whole stack.
 TEST(DeterminismGoldenTest, BatchedRunsReportIdenticalToScalarRuns) {
   const std::pair<const char*, std::function<engine::RunReport(size_t)>>
       shapes[] = {

@@ -111,6 +111,20 @@ TEST(HierarchyTest, StatsCountHitsAndMissesPerLevel) {
   EXPECT_EQ(h.core_stats(1).llc.hits, 1u);
 }
 
+// HierarchyConfig::simd picks the path: true selects the process default
+// (kAvx512 on a host with AVX-512F, unless CATDB_NO_SIMD is set), false
+// selects scalar.
+TEST(HierarchyTest, SimdFlagSelectsDefaultOrScalarLevel) {
+  for (const bool simd : {true, false}) {
+    HierarchyConfig cfg = TinyConfig();
+    cfg.simd = simd;
+    const MemoryHierarchy h(cfg);
+    EXPECT_EQ(h.simd_level(),
+              simd ? DefaultSimdLevel() : SimdLevel::kScalar)
+        << "simd=" << simd;
+  }
+}
+
 TEST(HierarchyTest, MissesPerInstructionUsesInstructionCounter) {
   MemoryHierarchy h(TinyConfig());
   h.Access(0, 0, 0, Full(h));
@@ -279,7 +293,8 @@ void AccessBoth(MemoryHierarchy* h, ModelHierarchy* m, uint32_t core,
 // back-invalidation, flat pending-prefetch table, SoA prefetcher) must be
 // observationally identical to the naive model: same per-access latencies
 // and hit levels, same statistics, same occupancy. Both HierarchyConfig::simd
-// settings are pinned: they run different scalar scan code.
+// settings are pinned: on a host with AVX-512F, simd=true runs the AVX-512
+// twins of the point and run paths and simd=false the scalar path.
 class ModelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ModelEquivalenceTest, HierarchyMatchesModelAccessForAccess) {
@@ -396,6 +411,68 @@ TEST(HierarchyModelTest, AccessRunMatchesModelPerLineSum) {
         EXPECT_GT(h.stats().llc_back_invalidations, 0u);
       }
     }
+  }
+}
+
+// The production associativities (8-way L1 and L2, a 20-way LLC, 16
+// prefetch streams) with few enough sets that every level evicts. The
+// AVX-512 kernels then run at their 8-, 16- and 20-lane shapes: one full
+// step, two, and two plus a four-lane tail. TinyConfig's 2/2/4 ways never
+// leave the first step. Point accesses and runs, under the paper's CAT
+// masks (full, 0x3, its complement) and a mid-cache window.
+TEST(HierarchyModelTest, ProductionAssociativitiesMatchModel) {
+  for (const bool simd : {true, false}) {
+    SCOPED_TRACE(simd ? "simd" : "scalar");
+    HierarchyConfig cfg;
+    cfg.num_cores = 4;
+    cfg.l1 = CacheGeometry{2, 8};
+    cfg.l2 = CacheGeometry{4, 8};
+    cfg.llc = CacheGeometry{8, 20};
+    cfg.simd = simd;
+    ASSERT_TRUE(cfg.prefetcher.enabled);
+    ASSERT_EQ(cfg.prefetcher.num_streams, 16u);
+    MemoryHierarchy h(cfg);
+    ModelHierarchy m(cfg);
+
+    Rng rng(17);
+    const uint64_t masks[] = {0xFFFFF, 0x3, 0xFFFFC, 0x00FF0};
+    uint64_t clock = 0;
+    for (int i = 0; i < 12000; ++i) {
+      const uint32_t core = static_cast<uint32_t>(rng.Uniform(4));
+      const uint32_t clos = static_cast<uint32_t>(rng.Uniform(4));
+      const uint64_t line = rng.Uniform(1u << 11);
+      if (rng.Uniform(3) != 0) {
+        ASSERT_NO_FATAL_FAILURE(AccessBoth(&h, &m, core, line * kLineSize,
+                                           masks[clos], clos, &clock, i));
+        continue;
+      }
+      const uint64_t n = 1 + rng.Uniform(40);
+      const uint64_t got = h.AccessRun(core, line, n, clock, masks[clos], clos);
+      uint64_t t = clock;
+      for (uint64_t k = 0; k < n; ++k) {
+        t += m.Access(core, (line + k) * kLineSize, t, masks[clos], clos)
+                 .latency_cycles;
+      }
+      ASSERT_EQ(got, t - clock) << "run " << i << " (" << n << " lines)";
+      clock = t;
+      if (i % 2000 == 0) {
+        ASSERT_NO_FATAL_FAILURE(ExpectSameState(h, m, i));
+      }
+    }
+    ExpectSameState(h, m, 12000);
+    EXPECT_TRUE(h.CheckInclusion());
+    EXPECT_GT(h.stats().llc_back_invalidations, 0u);
+    EXPECT_GT(h.stats().prefetch_hits, 0u);
+    // Every level evicts: each core misses its private caches many times
+    // over their capacity, and the LLC misses many times over its own.
+    const auto lines = [](const CacheGeometry& g) {
+      return uint64_t{g.num_sets} * g.num_ways;
+    };
+    for (uint32_t c = 0; c < cfg.num_cores; ++c) {
+      EXPECT_GT(h.core_stats(c).l1.misses, 10 * lines(cfg.l1)) << "core " << c;
+      EXPECT_GT(h.core_stats(c).l2.misses, 10 * lines(cfg.l2)) << "core " << c;
+    }
+    EXPECT_GT(h.stats().llc.misses, 10 * lines(cfg.llc));
   }
 }
 

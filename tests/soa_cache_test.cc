@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/rng.h"
 #include "model_hierarchy.h"
 #include "sim/machine.h"
@@ -179,38 +182,92 @@ TEST(MachineValidateConfigTest, RejectsInvalidGeometries) {
   EXPECT_FALSE(sim::Machine::ValidateConfig(config).ok());
 }
 
+// ValidateConfig must reject what the Machine constructor would abort on:
+// the StreamPrefetcher CHECKs its stream count and trigger run (enabled or
+// not), and the DramChannel CHECKs room for two transfers per epoch.
+void ExpectInvalidNaming(const sim::MachineConfig& config,
+                         const std::string& field) {
+  const Status st = sim::Machine::ValidateConfig(config);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << field;
+  EXPECT_NE(st.ToString().find(field), std::string::npos) << st.ToString();
+}
+
+TEST(MachineValidateConfigTest, RejectsPrefetcherFieldsTheConstructorAbortsOn) {
+  sim::MachineConfig config;
+  config.hierarchy.prefetcher.num_streams = 0;
+  ExpectInvalidNaming(config, "prefetcher.num_streams");
+  config.hierarchy.prefetcher.enabled = false;
+  ExpectInvalidNaming(config, "prefetcher.num_streams");
+
+  config = sim::MachineConfig{};
+  config.hierarchy.prefetcher.trigger_run = 0;
+  ExpectInvalidNaming(config, "prefetcher.trigger_run");
+}
+
+TEST(MachineValidateConfigTest, RejectsDramTransferOutsideChannelRange) {
+  sim::MachineConfig config;
+  for (const uint32_t transfer : {0u, 1025u, 100000u}) {
+    config.hierarchy.latency.dram_transfer = transfer;
+    ExpectInvalidNaming(config, "latency.dram_transfer");
+  }
+  // The bounds themselves construct.
+  for (const uint32_t transfer : {1u, 1024u}) {
+    config.hierarchy.latency.dram_transfer = transfer;
+    EXPECT_TRUE(sim::Machine::ValidateConfig(config).ok()) << transfer;
+    const DramChannel channel(config.hierarchy.latency.dram, transfer);
+    EXPECT_GE(channel.capacity_per_epoch(), 2u);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// SIMD way-scan kernel equivalence.
+// Way-scan kernel equivalence.
 //
-// The vector kernels must return exactly what the scalar oracles return for
-// every way count the simulator can configure (1..20 — every L1/L2/LLC
-// associativity plus all the odd-tail positions of the 2- and 4-wide
-// loops) under adversarial tag patterns:
+// The AVX-512 kernels must return exactly what the scalar oracles return at
+// every way count from 1 to 64, so at every tail position of their
+// eight-way steps, under adversarial tag patterns:
 //   - tags equal to the kEmptyTag sentinel (~0) and its neighbour, so a
 //     "hit on the sentinel value" is distinguished from "empty way";
-//   - tags agreeing with the needle in exactly one 32-bit half — SSE2/AVX2
-//     have no 64-bit equality compare, so the kernels fold a 32-bit lane
-//     compare with its pair-swapped self, and a half-match is precisely
-//     the input that an incorrect fold would misreport as a full match.
-// The kernels are exercised directly (not through the dispatcher) so the
-// dispatch thresholds cannot silently route everything to the scalar loop.
+//   - tags agreeing with the needle in exactly one 32-bit half, which a
+//     compare narrower than the 64-bit lane would report as a match.
+// Guard ways past the run hold values a scan must not see (the needle, the
+// sentinel, stamp 0), so a kernel whose tail mask reads past `n` fails
+// here. The scalar half checks the oracles against each other and runs on
+// every host; the AVX-512 half runs when DetectSimdLevel() reports it.
 
-#if CATDB_WAY_SCAN_X86
+constexpr uint32_t kMaxScanWays = 64;
+constexpr uint32_t kGuardWays = 8;
+
+bool Avx512HalfRuns() {
+  const bool runs = DetectSimdLevel() == SimdLevel::kAvx512;
+  std::printf("[ INFO     ] AVX-512 half %s\n",
+              runs ? "runs (DetectSimdLevel() == kAvx512)"
+                   : "skipped: the host has no AVX-512F");
+  return runs;
+}
+
+// Guard ways after a run of n: alternately `a` and `b`, starting at way n.
+void FillGuards(uint64_t* ways, uint32_t n, uint64_t a, uint64_t b) {
+  for (uint32_t g = 0; g < kGuardWays; ++g) ways[n + g] = g % 2 == 0 ? a : b;
+}
 
 TEST(WayScanEquivalenceTest, FindScansMatchScalarAtAllWayCounts) {
   using namespace way_scan;
-  const bool avx2 = DetectSimdLevel() == SimdLevel::kAvx2;
+  const bool avx512 = Avx512HalfRuns();
+  (void)avx512;
   Rng rng(0x5EED);
   const uint64_t needles[] = {0, 1, kEmptyTag, kEmptyTag - 1,
                               0xABCDEF0123456789ull};
-  uint64_t tags[20];
-  for (uint32_t n = 1; n <= 20; ++n) {
-    for (int iter = 0; iter < 3000; ++iter) {
+  uint64_t tags[kMaxScanWays + kGuardWays];
+  for (uint32_t n = 1; n <= kMaxScanWays; ++n) {
+    for (int iter = 0; iter < 1000; ++iter) {
       const uint64_t needle = needles[rng.Next() % std::size(needles)];
       const uint64_t lo = needle & 0xFFFFFFFFu;
       const uint64_t hi = needle & ~uint64_t{0xFFFFFFFFu};
+      // Mostly misses at the wide counts, so the scans reach the tail.
+      const uint32_t hit_odds = 8 + n;
       for (uint32_t w = 0; w < n; ++w) {
-        switch (rng.Next() % 8) {
+        const uint64_t r = rng.Next() % hit_odds;
+        switch (r) {
           case 0: tags[w] = needle; break;
           case 1: tags[w] = kEmptyTag; break;
           case 2: tags[w] = kEmptyTag - 1; break;
@@ -220,101 +277,123 @@ TEST(WayScanEquivalenceTest, FindScansMatchScalarAtAllWayCounts) {
           default: tags[w] = rng.Next(); break;
         }
       }
+      FillGuards(tags, n, needle, kEmptyTag);
       int want_empty = -2;
       const int want = FindWayOrEmptyScalar(tags, n, needle, &want_empty);
-      // The fused scan's hit index is by contract the plain scan's result.
-      ASSERT_EQ(FindWayScalar(tags, n, needle), want);
-      ASSERT_EQ(FindWaySse2(tags, n, needle), want)
-          << "n=" << n << " iter=" << iter;
-      int got_empty = -2;
-      ASSERT_EQ(FindWayOrEmptySse2(tags, n, needle, &got_empty), want)
-          << "n=" << n << " iter=" << iter;
-      // first_empty is specified only on a miss; on a hit the vector
-      // kernels may skip an empty sharing the hit's vector step.
+      // The fused scan's hit is the plain scan's; its miss-side empty way
+      // is the first-empty scan's.
+      ASSERT_EQ(FindWayScalar(tags, n, needle), want) << "n=" << n;
       if (want < 0) {
-        ASSERT_EQ(got_empty, want_empty) << "n=" << n << " iter=" << iter;
+        ASSERT_EQ(FindWayScalar(tags, n, kEmptyTag), want_empty) << "n=" << n;
       }
-      if (avx2) {
-        ASSERT_EQ(FindWayAvx2(tags, n, needle),
-                  FindWayScalar(tags, n, needle))
+#if CATDB_WAY_SCAN_X86
+      if (avx512) {
+        ASSERT_EQ(FindWayAvx512(tags, n, needle), want)
             << "n=" << n << " iter=" << iter;
-        got_empty = -2;
-        ASSERT_EQ(FindWayOrEmptyAvx2(tags, n, needle, &got_empty), want)
+        int got_empty = -2;
+        ASSERT_EQ(FindWayOrEmptyAvx512(tags, n, needle, &got_empty), want)
             << "n=" << n << " iter=" << iter;
+        // first_empty is specified only on a miss; on a hit the kernel may
+        // skip an empty way sharing the hit's eight-way step.
         if (want < 0) {
           ASSERT_EQ(got_empty, want_empty) << "n=" << n << " iter=" << iter;
         }
       }
+#endif
     }
   }
 }
 
-// Min-stamp (LRU victim) scans: first occurrence of the minimum, including
-// forced duplicate stamps (the all-invalid corner where the tie-break to
-// the lowest way index is what keeps victim choice deterministic).
+// Min-stamp (LRU victim) scans and victim selection under an allocation
+// mask: first occurrence of the minimum, including forced duplicate stamps
+// (the tie-break to the lowest way index), stamps across the full 64-bit
+// range (the kernels compare unsigned), and random nonzero masks against
+// the scalar bit walk.
 TEST(WayScanEquivalenceTest, MinStampMatchesScalarAtAllWayCounts) {
   using namespace way_scan;
-  const bool avx2 = DetectSimdLevel() == SimdLevel::kAvx2;
+  const bool avx512 = Avx512HalfRuns();
+  (void)avx512;
   Rng rng(0xA11C);
-  uint64_t stamps[20];
-  for (uint32_t n = 1; n <= 20; ++n) {
-    for (int iter = 0; iter < 3000; ++iter) {
+  uint64_t stamps[kMaxScanWays + kGuardWays];
+  uint64_t tags[kMaxScanWays + kGuardWays];
+  for (uint32_t n = 1; n <= kMaxScanWays; ++n) {
+    const uint64_t full = MaskForWays(n);
+    for (int iter = 0; iter < 1000; ++iter) {
       // Alternate wide-range stamps (unique in practice, like the live LRU
       // counter) with a tiny value range that forces duplicates.
       const bool dup = (iter & 1) != 0;
       for (uint32_t w = 0; w < n; ++w) {
-        stamps[w] = dup ? rng.Next() % 3
-                        : rng.Next() >> 1;  // keep below 2^63 (SSE2 contract)
+        stamps[w] = dup ? 1 + rng.Next() % 3 : 1 + (rng.Next() >> 1);
+        if (!dup && rng.Next() % 4 == 0) stamps[w] |= uint64_t{1} << 63;
+        // Distinct valid tags with an occasional empty way; none at all in
+        // half the sets, so the stamp minimum decides.
+        tags[w] = (iter & 2) != 0 && rng.Next() % 8 == 0 ? kEmptyTag : w;
       }
-      const int want = MinStampWayScalar(stamps, n);
-      if (n >= 2) {
-        ASSERT_EQ(MinStampWaySse2(stamps, n), want)
+      FillGuards(stamps, n, 0, 0);
+      FillGuards(tags, n, kEmptyTag, kEmptyTag);
+      const int want_min = MinStampWayScalar(stamps, n);
+      uint64_t mask = rng.Next() & full;
+      if (iter % 4 == 0) mask = full;
+      if (mask == 0) mask = uint64_t{1} << (rng.Next() % n);
+      const int want_victim = VictimWayMaskedScalar(tags, stamps, mask);
+      ASSERT_GE(want_victim, 0);
+      // Scalar level: the full-mask decomposition picks the bit walk's way.
+      ASSERT_EQ(VictimWay<SimdLevel::kScalar>(tags, stamps, n, full),
+                VictimWayMaskedScalar(tags, stamps, full))
+          << "n=" << n << " iter=" << iter;
+#if CATDB_WAY_SCAN_X86
+      if (avx512) {
+        ASSERT_EQ(MinStampWayAvx512(stamps, n), want_min)
             << "n=" << n << " iter=" << iter;
+        ASSERT_EQ(VictimWayAvx512(tags, stamps, n, mask), want_victim)
+            << "n=" << n << " iter=" << iter << " mask=" << mask;
       }
-      if (avx2 && n >= 4) {
-        ASSERT_EQ(MinStampWayAvx2(stamps, n), want)
-            << "n=" << n << " iter=" << iter;
-      }
+#endif
     }
   }
 }
 
-// The dispatcher must agree with the scalar oracle at every level and way
-// count regardless of where the tuned thresholds sit.
-TEST(WayScanEquivalenceTest, DispatcherMatchesScalarAtEveryLevel) {
+// The dispatchers must agree with the scalar oracles at every level the host
+// supports and every way count.
+template <SimdLevel L>
+void ExpectDispatchersMatchScalar() {
   using namespace way_scan;
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar, SimdLevel::kSse2};
-  if (DetectSimdLevel() == SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
   Rng rng(0xD15C);
-  uint64_t tags[20];
-  uint64_t stamps[20];
-  for (uint32_t n = 1; n <= 20; ++n) {
-    for (int iter = 0; iter < 500; ++iter) {
+  uint64_t tags[kMaxScanWays];
+  uint64_t stamps[kMaxScanWays];
+  for (uint32_t n = 1; n <= kMaxScanWays; ++n) {
+    const uint64_t full = MaskForWays(n);
+    for (int iter = 0; iter < 300; ++iter) {
       const uint64_t needle = rng.Next() % 4;
       for (uint32_t w = 0; w < n; ++w) {
         const uint64_t r = rng.Next();
         tags[w] = (r & 8) != 0 ? kEmptyTag : r % 4;
-        stamps[w] = rng.Next() >> 1;  // stamps stay below 2^63
+        stamps[w] = (iter & 1) != 0 ? r % 3 : rng.Next();
       }
       int want_empty = -2;
       const int want = FindWayOrEmptyScalar(tags, n, needle, &want_empty);
-      for (const SimdLevel level : levels) {
-        ASSERT_EQ(FindWay(tags, n, needle, level),
-                  FindWayScalar(tags, n, needle))
-            << "n=" << n << " level=" << static_cast<int>(level);
-        int got_empty = -2;
-        ASSERT_EQ(FindWayOrEmpty(tags, n, needle, level, &got_empty), want)
-            << "n=" << n << " level=" << static_cast<int>(level);
-        ASSERT_EQ(got_empty, want_empty)
-            << "n=" << n << " level=" << static_cast<int>(level);
-        ASSERT_EQ(MinStampWay(stamps, n, level), MinStampWayScalar(stamps, n))
-            << "n=" << n << " level=" << static_cast<int>(level);
+      const uint64_t mask = (rng.Next() & full) | (uint64_t{1} << (n - 1));
+      const std::string at = "n=" + std::to_string(n) +
+                             " level=" + std::to_string(static_cast<int>(L));
+      ASSERT_EQ(FindWay<L>(tags, n, needle), FindWayScalar(tags, n, needle))
+          << at;
+      int got_empty = -2;
+      ASSERT_EQ(FindWayOrEmpty<L>(tags, n, needle, &got_empty), want) << at;
+      if (want < 0) {
+        ASSERT_EQ(got_empty, want_empty) << at;
       }
+      ASSERT_EQ(MinStampWay<L>(stamps, n), MinStampWayScalar(stamps, n)) << at;
+      ASSERT_EQ(VictimWay<L>(tags, stamps, n, mask),
+                VictimWayMaskedScalar(tags, stamps, mask))
+          << at;
     }
   }
 }
 
-#endif  // CATDB_WAY_SCAN_X86
+TEST(WayScanEquivalenceTest, DispatcherMatchesScalarAtEveryLevel) {
+  ExpectDispatchersMatchScalar<SimdLevel::kScalar>();
+  if (Avx512HalfRuns()) ExpectDispatchersMatchScalar<SimdLevel::kAvx512>();
+}
 
 }  // namespace
 }  // namespace catdb::simcache
