@@ -19,7 +19,6 @@
 #include "engine/runner.h"
 #include "harness/experiments.h"
 #include "harness/sweep_runner.h"
-#include "harness/thread_pool.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "plan/scenario.h"
@@ -113,7 +112,7 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       usage_error("unknown argument");
     }
   }
-  if (opts.jobs == 0) opts.jobs = harness::ThreadPool::DefaultJobs();
+  if (opts.jobs == 0) opts.jobs = harness::DefaultJobs();
   return opts;
 }
 

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "engine/runner.h"
-#include "sim/executor.h"
 
 namespace catdb::engine {
 
@@ -105,33 +104,12 @@ RoundsReport ExecuteRoundsReport(sim::Machine* machine,
     }
     // Run the round to completion (every stream reaches its iteration
     // budget) and add its duration to the makespan.
-    machine->ResetForRun();
-    machine->resctrl().Reset();
-    JobScheduler scheduler(machine, policy);
-    CATDB_CHECK(scheduler.SetupGroups().ok());
-    sim::Executor executor(machine);
-    std::vector<std::unique_ptr<QueryStream>> streams;
-    for (const StreamSpec& spec : specs) {
-      streams.push_back(std::make_unique<QueryStream>(
-          spec.query, spec.cores, &scheduler, spec.max_iterations));
-      for (uint32_t core : spec.cores) {
-        executor.Attach(core, streams.back().get());
-      }
-    }
-    const uint64_t duration = executor.RunUntilIdle();
-    out.makespan_cycles += duration;
-    out.round_cycles.push_back(duration);
-    out.round_reports.push_back(
-        CollectRunReport(machine, scheduler, streams, duration));
+    RunReport report = RunWorkload(machine, specs, kRunToCompletion, policy);
+    out.makespan_cycles += report.duration_cycles;
+    out.round_cycles.push_back(report.duration_cycles);
+    out.round_reports.push_back(std::move(report));
   }
   return out;
-}
-
-uint64_t ExecuteRounds(sim::Machine* machine,
-                       const std::vector<BatchItem>& batch,
-                       const std::vector<Round>& rounds,
-                       const PolicyConfig& policy) {
-  return ExecuteRoundsReport(machine, batch, rounds, policy).makespan_cycles;
 }
 
 }  // namespace catdb::engine

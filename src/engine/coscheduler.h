@@ -70,12 +70,6 @@ RoundsReport ExecuteRoundsReport(sim::Machine* machine,
                                  const std::vector<Round>& rounds,
                                  const PolicyConfig& policy);
 
-/// Convenience wrapper: only the total makespan in cycles.
-uint64_t ExecuteRounds(sim::Machine* machine,
-                       const std::vector<BatchItem>& batch,
-                       const std::vector<Round>& rounds,
-                       const PolicyConfig& policy);
-
 }  // namespace catdb::engine
 
 #endif  // CATDB_ENGINE_COSCHEDULER_H_

@@ -6,6 +6,14 @@
 
 namespace catdb::engine {
 
+namespace {
+
+/// Cycle cost of the in-kernel IA32_PQR_ASSOC update when a context switch
+/// lands a thread with a different CLOS on a core (cheap: one MSR write).
+constexpr uint64_t kPqrWriteCycles = 120;
+
+}  // namespace
+
 JobScheduler::JobScheduler(sim::Machine* machine,
                            const PolicyConfig& policy_config)
     : machine_(machine),
@@ -76,7 +84,7 @@ void JobScheduler::OnDispatch(Job* job, uint32_t core) {
 
   // Kernel context-switch path: update the core's CLOS if needed.
   if (fs.OnContextSwitch(tid, core)) {
-    machine_->Compute(core, machine_->config().pqr_write_cycles);
+    machine_->Compute(core, kPqrWriteCycles);
   }
 }
 

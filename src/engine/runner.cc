@@ -93,6 +93,7 @@ RunReport CollectRunReport(
     const std::vector<std::unique_ptr<QueryStream>>& streams,
     uint64_t duration_cycles) {
   RunReport report;
+  report.duration_cycles = duration_cycles;
   report.sim_seconds = CyclesToSeconds(duration_cycles);
   for (const auto& stream : streams) {
     StreamResult r;
@@ -131,7 +132,9 @@ RunReport RunWorkload(sim::Machine* machine,
   sim::Executor executor(machine);
   std::vector<std::unique_ptr<QueryStream>> streams;
   for (const StreamSpec& spec : specs) {
-    CATDB_CHECK(spec.query != nullptr);
+    // A run to completion ends only once every stream stops by itself.
+    CATDB_CHECK(horizon_cycles != kRunToCompletion ||
+                spec.max_iterations >= 1);
     streams.push_back(std::make_unique<QueryStream>(
         spec.query, spec.cores, &scheduler, spec.max_iterations));
     for (uint32_t core : spec.cores) {
@@ -140,31 +143,18 @@ RunReport RunWorkload(sim::Machine* machine,
   }
 
   executor.RunUntil(horizon_cycles);
-  return CollectRunReport(machine, scheduler, streams, horizon_cycles);
+  const uint64_t duration = horizon_cycles == kRunToCompletion
+                                ? machine->MaxClock()
+                                : horizon_cycles;
+  return CollectRunReport(machine, scheduler, streams, duration);
 }
 
 RunReport RunQueryIterations(sim::Machine* machine, Query* query,
                              const std::vector<uint32_t>& cores,
                              uint64_t iterations,
                              const PolicyConfig& policy) {
-  CATDB_CHECK(machine != nullptr);
-  CATDB_CHECK(iterations >= 1);
-
-  machine->ResetForRun();
-  machine->resctrl().Reset();
-
-  JobScheduler scheduler(machine, policy);
-  const Status st = scheduler.SetupGroups();
-  CATDB_CHECK(st.ok());
-
-  sim::Executor executor(machine);
-  std::vector<std::unique_ptr<QueryStream>> streams;
-  streams.push_back(
-      std::make_unique<QueryStream>(query, cores, &scheduler, iterations));
-  for (uint32_t core : cores) executor.Attach(core, streams.back().get());
-
-  const uint64_t end_clock = executor.RunUntilIdle();
-  return CollectRunReport(machine, scheduler, streams, end_clock);
+  return RunWorkload(machine, {StreamSpec{query, cores, iterations}},
+                     kRunToCompletion, policy);
 }
 
 }  // namespace catdb::engine

@@ -85,6 +85,8 @@ struct StreamResult {
 struct RunReport {
   std::vector<StreamResult> streams;
   simcache::HierarchyStats stats;
+  /// Simulated cycles the report covers (sim_seconds in cycles).
+  uint64_t duration_cycles = 0;
   double sim_seconds = 0;
   double llc_hit_ratio = 0;
   double llc_mpi = 0;
@@ -96,14 +98,20 @@ struct RunReport {
 /// Assembles a RunReport from finished streams: per-stream throughput over
 /// `duration_cycles`, summed per-core hardware counters, machine-wide LLC
 /// metrics, and the control-plane move/reassociation counts. Shared by
-/// RunWorkload, the dynamic controller, and the round executor.
+/// RunWorkload and the policy engine's interval loop.
 RunReport CollectRunReport(
     sim::Machine* machine, const JobScheduler& scheduler,
     const std::vector<std::unique_ptr<QueryStream>>& streams,
     uint64_t duration_cycles);
 
-/// Runs the given streams concurrently for `horizon_cycles` of simulated
-/// time under the given partitioning policy. Resets machine state (caches,
+/// RunWorkload's horizon for a run to completion: every stream then needs
+/// an iteration budget, and the run ends when the last one is spent.
+inline constexpr uint64_t kRunToCompletion = ~uint64_t{0};
+
+/// The one run body of the engine: runs the given streams concurrently
+/// under the given partitioning policy for `horizon_cycles` of simulated
+/// time, or to completion when it is kRunToCompletion, and reports over the
+/// horizon or up to the last stream's finish. Resets machine state (caches,
 /// clocks, statistics, resctrl groups) first; simulated datasets persist.
 RunReport RunWorkload(sim::Machine* machine,
                       const std::vector<StreamSpec>& specs,

@@ -2,9 +2,11 @@
 #define CATDB_HARNESS_SWEEP_RUNNER_H_
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/report.h"
@@ -13,16 +15,21 @@
 
 namespace catdb::harness {
 
-/// Recording surface handed to one sweep cell while its body executes on a
-/// pool worker. A *cell* is a fully self-contained unit of simulation work:
-/// it builds its own sim::Machine (and datasets, queries, RNG state — all
-/// seeded by the cell description, nothing shared with other cells), runs,
-/// and records its output into a private report shard. Because a cell
-/// depends only on its description, its results are identical no matter
-/// which host thread runs it or in what order cells complete.
+/// Host-parallelism default: the CATDB_JOBS environment variable when set
+/// to a positive integer, otherwise std::thread::hardware_concurrency()
+/// (minimum 1).
+unsigned DefaultJobs();
+
+/// Recording surface handed to one sweep cell while its body runs on one of
+/// the runner's threads. A *cell* is a fully self-contained unit of
+/// simulation work: it builds its own sim::Machine (and datasets, queries,
+/// RNG state — all seeded by the cell description, nothing shared with
+/// other cells), runs, and records its output into a private report shard.
+/// Because a cell depends only on its description, its results are
+/// identical no matter which host thread runs it or in what order cells
+/// complete.
 class SweepCell {
  public:
-  size_t index() const { return index_; }
   const std::string& name() const { return name_; }
 
   /// Builds this cell's private simulated machine (event tracing enabled
@@ -38,30 +45,29 @@ class SweepCell {
   /// is byte-identical regardless of thread count or completion order.
   obs::RunReportWriter& report() { return shard_; }
 
-  /// True when the sweep was asked for an event trace (--trace-out).
-  bool tracing() const { return tracing_; }
-
  private:
   friend class SweepRunner;
 
-  SweepCell(size_t index, std::string name, bool tracing,
-            const std::string& benchmark)
-      : index_(index),
-        name_(std::move(name)),
-        tracing_(tracing),
-        shard_(benchmark) {}
+  SweepCell(std::string name, bool tracing, const std::string& benchmark)
+      : name_(std::move(name)), tracing_(tracing), shard_(benchmark) {}
 
-  size_t index_;
+  // Runs the body, harvests the machines' traces and frees the machines;
+  // a failure is kept in error_ for Run() to rethrow.
+  void Execute();
+
   std::string name_;
   bool tracing_;
   obs::RunReportWriter shard_;
   std::vector<std::unique_ptr<sim::Machine>> machines_;
   std::vector<obs::TraceEvent> trace_events_;  // harvested after the body
   std::function<void(SweepCell&)> body_;
+  std::exception_ptr error_;
 };
 
-/// Fans independent simulation cells out across a ThreadPool and gathers
-/// their outputs by cell index. The contract: given the same cell
+/// Fans independent simulation cells out across host threads and gathers
+/// their outputs by cell index. Run() starts min(jobs(), num_cells())
+/// threads; each claims the next unclaimed cell index until none is left,
+/// so cells start in index order. The contract: given the same cell
 /// descriptions, report() and trace_events() are byte-identical for every
 /// `jobs` value — parallelism across simulations never perturbs the
 /// simulations themselves (each cell owns its machine and RNG state) nor
@@ -69,8 +75,8 @@ class SweepCell {
 class SweepRunner {
  public:
   struct Options {
-    /// Host threads; 0 selects ThreadPool::DefaultJobs() (CATDB_JOBS env
-    /// override, else hardware concurrency).
+    /// Host threads; 0 selects DefaultJobs() (CATDB_JOBS env override, else
+    /// hardware concurrency).
     unsigned jobs = 0;
     /// Enable per-cell event tracing (cells' machines record into their
     /// own buffers; trace_events() concatenates them by cell index).
@@ -88,15 +94,14 @@ class SweepRunner {
   /// cell index (also its rank in the merged outputs).
   size_t AddCell(std::string name, std::function<void(SweepCell&)> body);
 
-  /// Executes every cell across min(jobs(), num_cells()) host threads, then
-  /// merges the per-cell report shards and trace buffers in cell-index
-  /// order.
-  /// Rethrows the first cell failure (remaining cells still complete).
+  /// Executes every cell, then merges the per-cell report shards and trace
+  /// buffers in cell-index order. A failing cell does not stop the others;
+  /// once all have run, Run() rethrows the failure of the lowest-indexed
+  /// failing cell.
   void Run();
 
   unsigned jobs() const { return jobs_; }
   size_t num_cells() const { return cells_.size(); }
-  bool tracing() const { return tracing_; }
 
   /// The merged report (valid after Run()); callers may append further
   /// entries computed from gathered results before writing it out.

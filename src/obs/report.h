@@ -51,9 +51,8 @@ struct ScenarioSummary {
 /// Accumulates the results of one benchmark binary into a single JSON run
 /// report: `{"schema": ..., "benchmark": ..., "params": {...},
 /// "results": [{"name": ..., "kind": "run|dynamic|rounds|scalar", ...}]}`.
-/// Each result is rendered to JSON when it is added. Used by
-/// RunWorkloadDynamic/ExecuteRounds consumers and all bench/fig* binaries
-/// behind their --report-out flag.
+/// Each result is rendered to JSON when it is added. Used by the bench
+/// binaries behind their --report-out flag.
 class RunReportWriter {
  public:
   explicit RunReportWriter(std::string benchmark);

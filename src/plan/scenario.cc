@@ -1,6 +1,8 @@
 #include "plan/scenario.h"
 
+#include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -116,6 +118,44 @@ const DatasetSpec* FindDataset(const Scenario& scenario,
     if (spec.name == name) return &spec;
   }
   return nullptr;
+}
+
+namespace {
+
+// A request's service time on an idle machine; arrival rates scale with it.
+uint64_t EstimatedServiceCycles(const ServeClassSpec& c) {
+  const uint64_t lines =
+      static_cast<uint64_t>(c.passes) * c.private_lines + c.stream_lines;
+  return lines * (c.compute_per_line + c.mem_cycles_per_line);
+}
+
+}  // namespace
+
+uint32_t TenantClass(const ServingSweepSpec& spec, uint64_t t) {
+  return spec.class_deal[t % spec.class_deal.size()] %
+         static_cast<uint32_t>(spec.classes.size());
+}
+
+serve::ArrivalConfig TenantArrival(const ServingSweepSpec& spec, uint64_t t,
+                                   uint64_t num_tenants, double load) {
+  const uint64_t est =
+      EstimatedServiceCycles(spec.classes[TenantClass(spec, t)]);
+  const size_t cores = spec.cores;
+  const uint64_t interarrival = static_cast<uint64_t>(
+      static_cast<double>(est) * num_tenants / (cores * load));
+  serve::ArrivalConfig arrival;
+  if ((t / spec.classes.size()) % 2 == 0) {
+    arrival.kind = serve::ArrivalKind::kPoisson;
+    arrival.mean_interarrival_cycles = interarrival;
+  } else {
+    // Same average rate at 50% duty cycle: double the in-burst rate,
+    // absolute burst periods (see ext_serving_tail for the rationale).
+    arrival.kind = serve::ArrivalKind::kOnOff;
+    arrival.mean_interarrival_cycles = interarrival / 2;
+    arrival.mean_on_cycles = spec.burst_on_cycles;
+    arrival.mean_off_cycles = spec.burst_off_cycles;
+  }
+  return arrival;
 }
 
 Status ValidateScenario(const Scenario& scenario) {
@@ -361,10 +401,12 @@ Status ValidateScenario(const Scenario& scenario) {
               ": a request class needs a concrete annotation "
               "(polluting|sensitive|adaptive)");
         }
-        if (c.private_lines == 0 && c.stream_lines == 0) {
+        if (static_cast<uint64_t>(c.passes) * c.private_lines +
+                c.stream_lines ==
+            0) {
           return Status::InvalidArgument(
-              path + ": class touches no lines (private_lines and "
-                     "stream_lines are both 0)");
+              path + ": class touches no lines (passes * private_lines + "
+                     "stream_lines is 0)");
         }
       }
       if (s.class_deal.empty()) {
@@ -401,6 +443,41 @@ Status ValidateScenario(const Scenario& scenario) {
             return Status::InvalidArgument(
                 "$.serving_sweep: load levels must be positive");
           }
+        }
+      }
+      // The arrival generator needs a gap of at least one cycle for every
+      // dealt tenant, at both tenant counts and every load. Gaps shrink as
+      // the load grows, so each list's highest load is the one to check,
+      // and the tenant -> (class, arrival kind) pattern repeats every
+      // lcm(|class_deal|, 2 * |classes|) tenants.
+      const struct {
+        const char* key;
+        const std::vector<Fraction>& loads;
+        uint64_t tenants;
+      } sweeps[] = {{"loads", s.loads, s.tenants},
+                    {"smoke_loads", s.smoke_loads, s.smoke_tenants}};
+      for (const auto& sweep : sweeps) {
+        size_t top = 0;
+        for (size_t li = 1; li < sweep.loads.size(); ++li) {
+          if (sweep.loads[li].value() > sweep.loads[top].value()) top = li;
+        }
+        const double load = sweep.loads[top].value();
+        const uint64_t distinct = std::min<uint64_t>(
+            sweep.tenants,
+            std::lcm(s.class_deal.size(), 2 * s.classes.size()));
+        for (uint64_t t = 0; t < distinct; ++t) {
+          if (TenantArrival(s, t, sweep.tenants, load)
+                  .mean_interarrival_cycles > 0) {
+            continue;
+          }
+          const ServeClassSpec& c = s.classes[TenantClass(s, t)];
+          return Status::InvalidArgument(
+              IndexPath(JoinPath("$.serving_sweep", sweep.key), top) +
+              ": with " + std::to_string(sweep.tenants) + " tenants, tenant " +
+              std::to_string(t) + " (class '" + c.name + "', " +
+              std::to_string(EstimatedServiceCycles(c)) +
+              " estimated service cycles) gets a mean interarrival gap of 0 "
+              "cycles; lower the load or raise the class's per-line cycles");
         }
       }
       if (s.policies.empty()) {

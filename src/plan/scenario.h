@@ -30,6 +30,7 @@
 #include "plan/dataset.h"
 #include "plan/json_util.h"
 #include "plan/plan.h"
+#include "serve/arrival.h"
 
 namespace catdb::plan {
 
@@ -158,6 +159,18 @@ struct Scenario {
 /// The dataset named `name`, or nullptr when the scenario has none.
 const DatasetSpec* FindDataset(const Scenario& scenario,
                                const std::string& name);
+
+/// Class id of tenant `t` of a serving sweep (round-dealt by class_deal).
+uint32_t TenantClass(const ServingSweepSpec& spec, uint64_t t);
+
+/// Arrival process of tenant `t` among `num_tenants` at `load`. Every other
+/// block of classes.size() tenants arrives ON-OFF, the rest Poisson. The
+/// mean interarrival gap is the class's estimated service cycles *
+/// num_tenants / (cores * load), halved for ON-OFF tenants so their average
+/// rate matches at a 50% duty cycle. The serving executor deals tenants
+/// with it, and ValidateScenario rejects a sweep in which a gap comes out 0.
+serve::ArrivalConfig TenantArrival(const ServingSweepSpec& spec, uint64_t t,
+                                   uint64_t num_tenants, double load);
 
 /// Cross-field validation (unique names, resolvable references, per-kind
 /// requirements, and sizes that fit the sim::MachineConfig{} machine every

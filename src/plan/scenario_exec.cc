@@ -214,12 +214,6 @@ serve::ServePolicyKind ServePolicyOf(const std::string& name) {
   return serve::ServePolicyKind::kMrcCluster;
 }
 
-uint64_t EstimatedServiceCycles(const ServeClassSpec& c) {
-  const uint64_t lines =
-      static_cast<uint64_t>(c.passes) * c.private_lines + c.stream_lines;
-  return lines * (c.compute_per_line + c.mem_cycles_per_line);
-}
-
 serve::ServeConfig MakeServeConfig(const ServingSweepSpec& spec, double load,
                                    uint64_t num_tenants, uint64_t horizon,
                                    uint64_t seed) {
@@ -239,29 +233,14 @@ serve::ServeConfig MakeServeConfig(const ServingSweepSpec& spec, double load,
   config.max_clusters = spec.max_clusters;
   config.shared_region_lines = spec.shared_region_lines;
 
-  const size_t num_classes = config.classes.size();
-  const size_t cores = spec.cores;
-  for (uint32_t core = 0; core < cores; ++core) config.cores.push_back(core);
+  for (uint32_t core = 0; core < spec.cores; ++core) {
+    config.cores.push_back(core);
+  }
 
-  for (size_t t = 0; t < num_tenants; ++t) {
+  for (uint64_t t = 0; t < num_tenants; ++t) {
     serve::TenantSpec tenant;
-    tenant.class_id = spec.class_deal[t % spec.class_deal.size()] %
-                      static_cast<uint32_t>(num_classes);
-    const uint64_t est =
-        EstimatedServiceCycles(spec.classes[tenant.class_id]);
-    const uint64_t interarrival = static_cast<uint64_t>(
-        static_cast<double>(est) * num_tenants / (cores * load));
-    if ((t / num_classes) % 2 == 0) {
-      tenant.arrival.kind = serve::ArrivalKind::kPoisson;
-      tenant.arrival.mean_interarrival_cycles = interarrival;
-    } else {
-      // Same average rate at 50% duty cycle: double the in-burst rate,
-      // absolute burst periods (see ext_serving_tail for the rationale).
-      tenant.arrival.kind = serve::ArrivalKind::kOnOff;
-      tenant.arrival.mean_interarrival_cycles = interarrival / 2;
-      tenant.arrival.mean_on_cycles = spec.burst_on_cycles;
-      tenant.arrival.mean_off_cycles = spec.burst_off_cycles;
-    }
+    tenant.class_id = TenantClass(spec, t);
+    tenant.arrival = TenantArrival(spec, t, num_tenants, load);
     config.tenants.push_back(tenant);
   }
   return config;

@@ -153,11 +153,15 @@ ThresholdAllocator::Decision ThresholdAllocator::OnInterval(
 // ---------------------------------------------------------------------------
 // LookaheadUtilityAllocator
 
-LookaheadUtilityAllocator::LookaheadUtilityAllocator(
-    const LookaheadConfig& config)
-    : config_(config) {
-  CATDB_CHECK(config_.min_ways >= 1);
-}
+namespace {
+
+/// Per-stream floor of the lookahead and fairness allocators. The paper
+/// observes that a one-way mask (0x1) degrades performance severely —
+/// streaming data thrashes the worker's scratch lines — so neither goes
+/// below two ways.
+constexpr uint32_t kMinWays = 2;
+
+}  // namespace
 
 std::vector<uint64_t> LookaheadUtilityAllocator::Allocate(
     const std::vector<StreamProfile>& streams, uint32_t llc_ways) {
@@ -166,11 +170,10 @@ std::vector<uint64_t> LookaheadUtilityAllocator::Allocate(
   if (n == 0) return {};
   if (llc_ways < n) return AllFullMasks(n, llc_ways);
 
-  // Feasible per-stream floor: the configured minimum, shrunk so the floors
-  // alone never exceed the cache.
+  // Feasible per-stream floor: kMinWays, shrunk so the floors alone never
+  // exceed the cache.
   const uint32_t floor_ways = std::max<uint32_t>(
-      1, std::min<uint32_t>(config_.min_ways,
-                            llc_ways / static_cast<uint32_t>(n)));
+      1, std::min<uint32_t>(kMinWays, llc_ways / static_cast<uint32_t>(n)));
   std::vector<uint32_t> alloc(n, floor_ways);
   uint32_t balance = llc_ways - floor_ways * static_cast<uint32_t>(n);
 
@@ -213,15 +216,18 @@ std::vector<uint64_t> LookaheadUtilityAllocator::Allocate(
 // ---------------------------------------------------------------------------
 // FairnessClusterAllocator
 
-FairnessClusterAllocator::FairnessClusterAllocator(
-    const FairnessConfig& config)
-    : config_(config) {
-  CATDB_CHECK(config_.min_ways >= 1);
-  CATDB_CHECK(config_.shared_ways >= 1);
-  CATDB_CHECK(config_.streaming_hit_ratio >= 0.0);
-  CATDB_CHECK(config_.saturation_fraction > 0.0 &&
-              config_.saturation_fraction <= 1.0);
-}
+namespace {
+
+/// A stream whose shadow hit ratio at the *full* LLC stays below this is
+/// streaming: more cache would not help it (an LFOC "squanderer").
+constexpr double kStreamingHitRatio = 0.20;
+/// Ways of the shared low partition all streaming streams are confined to.
+constexpr uint32_t kStreamingSharedWays = 2;
+/// A sensitive stream's demand is the smallest way count reaching this
+/// fraction of its maximum shadow hits (the saturation point of its MRC).
+constexpr double kSaturationFraction = 0.90;
+
+}  // namespace
 
 std::vector<uint64_t> FairnessClusterAllocator::Allocate(
     const std::vector<StreamProfile>& streams, uint32_t llc_ways) {
@@ -241,7 +247,7 @@ std::vector<uint64_t> FairnessClusterAllocator::Allocate(
       const double full_ratio =
           static_cast<double>(p.HitsAtWays(llc_ways)) /
           static_cast<double>(p.mrc_accesses);
-      streaming[i] = full_ratio < config_.streaming_hit_ratio;
+      streaming[i] = full_ratio < kStreamingHitRatio;
     }
     if (!streaming[i]) sensitive.push_back(i);
   }
@@ -253,7 +259,7 @@ std::vector<uint64_t> FairnessClusterAllocator::Allocate(
   const size_t ns = sensitive.size();
   uint32_t shared_ways = 0;
   if (sensitive.size() < n) {
-    shared_ways = std::min(config_.shared_ways, llc_ways);
+    shared_ways = std::min(kStreamingSharedWays, llc_ways);
     // The isolated region must fit at least one way per sensitive stream;
     // shrink the shared partition before giving up.
     while (shared_ways > 1 && llc_ways - shared_ways < ns) --shared_ways;
@@ -264,17 +270,16 @@ std::vector<uint64_t> FairnessClusterAllocator::Allocate(
   const uint32_t avail = llc_ways - shared_ways;
 
   // Each sensitive stream demands its saturation point: the smallest way
-  // count reaching `saturation_fraction` of its maximum shadow hits.
+  // count reaching kSaturationFraction of its maximum shadow hits.
   const uint32_t floor_ways = std::max<uint32_t>(
-      1, std::min<uint32_t>(config_.min_ways,
-                            avail / static_cast<uint32_t>(ns)));
+      1, std::min<uint32_t>(kMinWays, avail / static_cast<uint32_t>(ns)));
   std::vector<uint32_t> demand(ns, floor_ways);
   for (size_t s = 0; s < ns; ++s) {
     const StreamProfile& p = streams[sensitive[s]];
     const uint64_t max_hits = p.HitsAtWays(llc_ways);
     if (max_hits == 0) continue;  // unknown benefit: stay at the floor
-    const double target = config_.saturation_fraction *
-                          static_cast<double>(max_hits);
+    const double target =
+        kSaturationFraction * static_cast<double>(max_hits);
     for (uint32_t w = 1; w <= llc_ways; ++w) {
       if (static_cast<double>(p.HitsAtWays(w)) >= target) {
         demand[s] = std::max(floor_ways, w);
@@ -421,8 +426,11 @@ std::vector<uint64_t> ClusteredWayAllocator::Allocate(
     centroids.push_back(features[far_i]);
   }
 
-  // Lloyd refinement for a fixed number of rounds.
-  for (uint32_t round = 0; round < config_.kmeans_rounds; ++round) {
+  // Lloyd refinement for a fixed number of rounds (fixed, not
+  // convergence-driven, so the cost is bounded and the outcome
+  // deterministic).
+  constexpr uint32_t kKmeansRounds = 8;
+  for (uint32_t round = 0; round < kKmeansRounds; ++round) {
     for (size_t i = 0; i < n; ++i) {
       assign[i] = static_cast<uint32_t>(NearestCentroid(features[i], centroids));
     }
@@ -518,7 +526,7 @@ std::vector<uint64_t> ClusteredWayAllocator::FinishAllocation(
     if (p.mrc_accesses == 0) p.mrc_hits_at_ways.clear();
   }
 
-  LookaheadUtilityAllocator sizer(config_.lookahead);
+  LookaheadUtilityAllocator sizer;
   cluster_masks_ = sizer.Allocate(pooled, llc_ways);
 
   std::vector<uint64_t> masks(n);

@@ -167,46 +167,20 @@ class ThresholdAllocator : public WayAllocator {
   std::string name_ = "threshold";
 };
 
-/// Tuning knobs of the lookahead allocator.
-struct LookaheadConfig {
-  /// Per-stream floor. Defaults to 2: the paper observes that a one-way
-  /// mask (0x1) degrades performance severely — streaming data thrashes the
-  /// worker's scratch lines — so the allocator never goes below two ways.
-  uint32_t min_ways = 2;
-};
-
 /// Utility-based partitioning after Qureshi & Patt's UCP lookahead
-/// algorithm: starting from the per-stream floor, repeatedly grant the
-/// stream with the highest marginal utility (extra shadow hits per added
+/// algorithm: starting from a per-stream floor of two ways, repeatedly grant
+/// the stream with the highest marginal utility (extra shadow hits per added
 /// way, maximized over all feasible extensions) its best extension, until
 /// all ways are placed. The resulting way counts tile the LLC exactly; masks
 /// are disjoint contiguous segments stacked from bit 0 in stream order.
 class LookaheadUtilityAllocator : public WayAllocator {
  public:
-  explicit LookaheadUtilityAllocator(const LookaheadConfig& config = {});
-
   const std::string& name() const override { return name_; }
   std::vector<uint64_t> Allocate(const std::vector<StreamProfile>& streams,
                                  uint32_t llc_ways) override;
 
  private:
-  LookaheadConfig config_;
   std::string name_ = "lookahead";
-};
-
-/// Tuning knobs of the fairness-clustering allocator.
-struct FairnessConfig {
-  /// A stream whose shadow hit ratio at the *full* LLC stays below this is
-  /// streaming: more cache would not help it (an LFOC "squanderer").
-  double streaming_hit_ratio = 0.20;
-  /// Ways of the shared low partition all streaming streams are confined to.
-  uint32_t shared_ways = 2;
-  /// A sensitive stream's demand is the smallest way count reaching this
-  /// fraction of its maximum shadow hits (the saturation point of its MRC).
-  double saturation_fraction = 0.90;
-  /// Per-stream floor for isolated partitions (same rationale as
-  /// LookaheadConfig::min_ways).
-  uint32_t min_ways = 2;
 };
 
 /// LFOC-style clustering: classify streams by the *shape* of their MRC —
@@ -217,14 +191,11 @@ struct FairnessConfig {
 /// a neighbour, and squanderers cannot waste isolated capacity.
 class FairnessClusterAllocator : public WayAllocator {
  public:
-  explicit FairnessClusterAllocator(const FairnessConfig& config = {});
-
   const std::string& name() const override { return name_; }
   std::vector<uint64_t> Allocate(const std::vector<StreamProfile>& streams,
                                  uint32_t llc_ways) override;
 
  private:
-  FairnessConfig config_;
   std::string name_ = "fairness";
 };
 
@@ -244,9 +215,6 @@ struct ClusterConfig {
   /// scheme consumes). Must be >= 1 and should leave room for the default
   /// group: with 16 hardware CLOS, at most 15 clusters are programmable.
   uint32_t max_clusters = 8;
-  /// Fixed k-means refinement rounds (fixed, not convergence-driven, so the
-  /// cost is bounded and the outcome deterministic).
-  uint32_t kmeans_rounds = 8;
   /// Fraction of streams expected to be concurrently active. Pooled cluster
   /// curves divide the partition among the cluster's *active* members
   /// (max(1, members * active_fraction)), not all of them. 1.0 models the
@@ -254,8 +222,6 @@ struct ClusterConfig {
   /// tier with many mostly-idle tenants sets cores / num_tenants, otherwise
   /// large clusters look insatiable and the sizer starves everyone else.
   double active_fraction = 1.0;
-  /// How each cluster's way budget is sized once members are pooled.
-  LookaheadConfig lookahead;
 };
 
 /// LFOC generalized from the two hard-wired classes (streaming vs sensitive)

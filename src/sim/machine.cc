@@ -278,12 +278,6 @@ Result<uint64_t> Machine::MbmTotalBytes(const std::string& group) const {
   return hierarchy_.clos_monitor(clos.value()).mbm_bytes();
 }
 
-Result<double> Machine::GroupLlcHitRatio(const std::string& group) const {
-  Result<cat::ClosId> clos = resctrl_.ClosOfGroup(group);
-  if (!clos.ok()) return clos.status();
-  return hierarchy_.clos_monitor(clos.value()).llc.hit_ratio();
-}
-
 uint64_t Machine::MaxClock() const {
   uint64_t max = 0;
   for (uint64_t c : clocks_) max = max > c ? max : c;

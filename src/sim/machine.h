@@ -23,9 +23,6 @@ struct MachineConfig {
   /// well under 100 us per query; the scheduler skips it when the CLOS is
   /// unchanged.
   uint64_t reassociation_cycles = 7000;
-  /// Cycle cost of the in-kernel IA32_PQR_ASSOC update when a context switch
-  /// lands a thread with a different CLOS on a core (cheap: one MSR write).
-  uint64_t pqr_write_cycles = 120;
   /// If true (default), ExecContext::ReadRun/WriteRun use the run-granular
   /// MemoryHierarchy::AccessRun fast path; if false, runs decompose into the
   /// scalar per-line Access chain. Both produce bit-identical simulated
@@ -119,7 +116,6 @@ class Machine {
   void CountInstructions(uint64_t n) { hierarchy_.CountInstructions(n); }
 
   uint64_t clock(uint32_t core) const { return clocks_[core]; }
-  void set_clock(uint32_t core, uint64_t value) { clocks_[core] = value; }
 
   /// Advances the core's clock to at least `t` (barrier synchronisation).
   void AdvanceClockTo(uint32_t core, uint64_t t) {
@@ -158,10 +154,6 @@ class Machine {
   /// behalf of a resource group since the last statistics reset
   /// (resctrl's mon_data/mbm_total_bytes).
   Result<uint64_t> MbmTotalBytes(const std::string& group) const;
-
-  /// Per-group LLC demand hit ratio over the current statistics window
-  /// (a per-group PCM-style counter; used by the dynamic policy).
-  Result<double> GroupLlcHitRatio(const std::string& group) const;
 
   /// Resets clocks, caches and statistics, but keeps CAT group setup and
   /// virtual allocations (datasets stay "in memory").

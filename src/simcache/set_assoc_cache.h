@@ -241,19 +241,6 @@ class SetAssocCache {
   /// bits stale, which only costs a no-op Invalidate later.
   void MarkPresent(uint64_t line, uint32_t core);
 
-  /// MarkPresent() with the (almost always successful) hint compare inlined
-  /// into the caller. For the batched run loop.
-  void MarkPresentHinted(uint64_t line, uint32_t core) {
-    CATDB_DCHECK(core < kMaxPresenceCores);
-    const uint32_t set = geometry_.SetOf(line);
-    const size_t hint = SetBase(set) + way_hint_[set];
-    if (tags_[hint] == line) {
-      presence_[hint] |= uint32_t{1} << core;
-      return;
-    }
-    MarkPresent(line, core);
-  }
-
   /// MarkPresent through a slot previously returned by LookupSlotHinted /
   /// FindSlotHinted / InsertNewAt with no intervening mutation of this
   /// cache: a single store, no probe.

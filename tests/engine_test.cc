@@ -429,7 +429,8 @@ TEST(CoschedulerTest, ExecuteRoundsRunsToCompletion) {
   cat.enabled = true;
   cat.shared_ways = 5;  // SmallMachine has an 8-way LLC
   const uint64_t makespan =
-      ExecuteRounds(&m, batch, PlanCacheAwareRounds(batch), cat);
+      ExecuteRoundsReport(&m, batch, PlanCacheAwareRounds(batch), cat)
+          .makespan_cycles;
   EXPECT_GT(makespan, 0u);
 }
 

@@ -1,121 +1,32 @@
-// Tests for the parallel sweep harness: ThreadPool semantics (completion,
-// exception propagation, nested submits, CATDB_JOBS override) and the
-// SweepRunner determinism contract — the merged run report must be
-// byte-identical for every thread count, because each cell owns its machine
-// and RNG state and gathering is by cell index, not completion order.
+// Tests for the parallel sweep harness: every cell runs, a failing cell
+// neither cancels its siblings nor hides a lower-indexed failure, the
+// CATDB_JOBS override, and the SweepRunner determinism contract — the
+// merged run report must be byte-identical for every thread count, because
+// each cell owns its machine and RNG state and gathering is by cell index,
+// not completion order.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/operators/aggregation.h"
 #include "engine/runner.h"
 #include "harness/sweep_runner.h"
-#include "harness/thread_pool.h"
 #include "workloads/micro.h"
 
 namespace catdb {
 namespace {
 
-// --- ThreadPool ----------------------------------------------------------
-
-TEST(ThreadPoolTest, ExecutesEveryTask) {
-  harness::ThreadPool pool(4);
-  constexpr int kTasks = 200;
-  std::atomic<int> count{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, GatherByIndexIsDeterministic) {
-  // Completion order is unspecified, but writes into distinct slots gather
-  // deterministically — the pattern SweepRunner is built on.
-  harness::ThreadPool pool(3);
-  constexpr int kTasks = 64;
-  std::vector<int> out(kTasks, -1);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&out, i] { out[static_cast<size_t>(i)] = i * i; });
-  }
-  pool.Wait();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(out[static_cast<size_t>(i)], i * i);
-  }
-}
-
-TEST(ThreadPoolTest, WaitRethrowsFirstExceptionAndPoolStaysUsable) {
-  harness::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&ran, i] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      if (i == 3) throw std::runtime_error("cell failure");
-    });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The failing task did not cancel its siblings.
-  EXPECT_EQ(ran.load(), 8);
-
-  // The error was consumed; the pool accepts and runs new work.
-  std::atomic<bool> again{false};
-  pool.Submit([&again] { again.store(true); });
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_TRUE(again.load());
-}
-
-TEST(ThreadPoolTest, NestedSubmitCompletesBeforeWaitReturns) {
-  harness::ThreadPool pool(2);
-  std::atomic<int> leaves{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&pool, &leaves] {
-      for (int j = 0; j < 4; ++j) {
-        pool.Submit(
-            [&leaves] { leaves.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(leaves.load(), 16);
-}
-
-TEST(ThreadPoolTest, SingleThreadRunsEverything) {
-  harness::ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();
-  // One worker, external FIFO injector: submission order is preserved.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, DefaultJobsHonorsEnvOverride) {
-  ASSERT_EQ(setenv("CATDB_JOBS", "3", /*overwrite=*/1), 0);
-  EXPECT_EQ(harness::ThreadPool::DefaultJobs(), 3u);
-  harness::ThreadPool pool;  // num_threads == 0 -> DefaultJobs()
-  EXPECT_EQ(pool.num_threads(), 3u);
-
-  ASSERT_EQ(unsetenv("CATDB_JOBS"), 0);
-  const unsigned host = harness::ThreadPool::DefaultJobs();
-  EXPECT_GE(host, 1u);
-
-  // Malformed and out-of-range values fall back to the host count: strtol
-  // saturates the first out-of-range value at LONG_MAX, and the second
-  // would wrap to 1 in a cast to unsigned.
-  for (const char* bad :
-       {"not-a-number", "99999999999999999999", "4294967297"}) {
-    ASSERT_EQ(setenv("CATDB_JOBS", bad, 1), 0);
-    EXPECT_EQ(harness::ThreadPool::DefaultJobs(), host) << bad;
-  }
-  ASSERT_EQ(unsetenv("CATDB_JOBS"), 0);
+harness::SweepRunner::Options Jobs(unsigned jobs) {
+  harness::SweepRunner::Options options;
+  options.jobs = jobs;
+  return options;
 }
 
 // --- SweepRunner ---------------------------------------------------------
@@ -133,8 +44,122 @@ TEST(SweepRunnerTest, CellFailurePropagatesFromRun) {
   EXPECT_THROW(runner.Run(), std::runtime_error);
 }
 
-// A job count far past the cell count runs with one worker per cell (no
-// pool of 2^30 threads) and reports exactly what a serial sweep reports.
+TEST(SweepRunnerTest, RunsEveryCell) {
+  constexpr int kCells = 200;
+  harness::SweepRunner runner("harness_test", Jobs(4));
+  std::atomic<int> count{0};
+  for (int i = 0; i < kCells; ++i) {
+    runner.AddCell("cell" + std::to_string(i), [&count](harness::SweepCell&) {
+      count.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  runner.Run();
+  EXPECT_EQ(count.load(), kCells);
+  EXPECT_EQ(runner.num_cells(), static_cast<size_t>(kCells));
+}
+
+TEST(SweepRunnerTest, GatherByIndexIsDeterministic) {
+  // Completion order is unspecified, but a cell writing into the slot of
+  // its own index gathers deterministically.
+  constexpr int kCells = 64;
+  harness::SweepRunner runner("harness_test", Jobs(3));
+  std::vector<int> out(kCells, -1);
+  for (int i = 0; i < kCells; ++i) {
+    const size_t index = runner.AddCell(
+        "cell" + std::to_string(i),
+        [&out, i](harness::SweepCell&) { out[static_cast<size_t>(i)] = i * i; });
+    EXPECT_EQ(index, static_cast<size_t>(i));
+  }
+  runner.Run();
+  for (int i = 0; i < kCells; ++i) {
+    EXPECT_EQ(out[static_cast<size_t>(i)], i * i);
+  }
+}
+
+TEST(SweepRunnerTest, FailingCellDoesNotCancelSiblings) {
+  harness::SweepRunner runner("harness_test", Jobs(2));
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 8; ++i) {
+    runner.AddCell("cell" + std::to_string(i),
+                   [&ran, i](harness::SweepCell&) {
+                     ran.fetch_add(1, std::memory_order_relaxed);
+                     if (i == 3) throw std::runtime_error("cell failure");
+                   });
+  }
+  EXPECT_THROW(runner.Run(), std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);
+}
+
+// Cells 2 and 5 fail. With more than one thread, cell 2 holds its failure
+// until cell 5 has thrown, so the lower-indexed failure is also the later
+// one; Run() must still report cell 2.
+TEST(SweepRunnerTest, RethrowsLowestIndexedFailure) {
+  for (unsigned jobs : {1u, 2u, 4u}) {
+    harness::SweepRunner runner("harness_test", Jobs(jobs));
+    std::atomic<bool> cell5_failed{false};
+    for (int i = 0; i < 8; ++i) {
+      runner.AddCell(
+          "cell" + std::to_string(i),
+          [&cell5_failed, i, jobs](harness::SweepCell&) {
+            if (i == 2) {
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(30);
+              while (jobs > 1 && !cell5_failed.load() &&
+                     std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+              }
+              throw std::runtime_error("cell 2 failed");
+            }
+            if (i == 5) {
+              cell5_failed.store(true);
+              throw std::runtime_error("cell 5 failed");
+            }
+          });
+    }
+    try {
+      runner.Run();
+      ADD_FAILURE() << "jobs=" << jobs << ": Run() did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "cell 2 failed") << "jobs=" << jobs;
+    }
+  }
+}
+
+TEST(SweepRunnerTest, SingleJobRunsCellsInIndexOrder) {
+  harness::SweepRunner runner("harness_test", Jobs(1));
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    runner.AddCell("cell" + std::to_string(i),
+                   [&order, i](harness::SweepCell&) { order.push_back(i); });
+  }
+  runner.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SweepRunnerTest, DefaultJobsHonorsEnvOverride) {
+  ASSERT_EQ(setenv("CATDB_JOBS", "3", /*overwrite=*/1), 0);
+  EXPECT_EQ(harness::DefaultJobs(), 3u);
+  EXPECT_EQ(harness::SweepRunner("harness_test", Jobs(0)).jobs(), 3u);
+
+  ASSERT_EQ(unsetenv("CATDB_JOBS"), 0);
+  const unsigned host = harness::DefaultJobs();
+  EXPECT_GE(host, 1u);
+
+  // Malformed and out-of-range values fall back to the host count: strtol
+  // saturates the first out-of-range value at LONG_MAX, and the second
+  // would wrap to 1 in a cast to unsigned.
+  for (const char* bad :
+       {"not-a-number", "99999999999999999999", "4294967297"}) {
+    ASSERT_EQ(setenv("CATDB_JOBS", bad, 1), 0);
+    EXPECT_EQ(harness::DefaultJobs(), host) << bad;
+    EXPECT_EQ(harness::SweepRunner("harness_test", Jobs(0)).jobs(), host)
+        << bad;
+  }
+  ASSERT_EQ(unsetenv("CATDB_JOBS"), 0);
+}
+
+// A job count far past the cell count runs with one thread per cell (never
+// 2^30 threads) and reports exactly what a serial sweep reports.
 TEST(SweepRunnerTest, HugeJobCountMatchesSerialReport) {
   std::string serial;
   for (unsigned jobs : {1u, 1u << 30}) {

@@ -318,6 +318,29 @@ TEST(PlanScenarioTest, ServingMaxClustersOutsideClosRangeAreRejected) {
   EXPECT_TRUE(plan::ValidateScenario(scenario).ok());
 }
 
+// Each of the next three sweeps would hand some tenant a mean interarrival
+// gap of 0 cycles, which the arrival generator aborts on mid-run.
+TEST(PlanScenarioTest, ServingClassWithoutServiceCyclesIsRejected) {
+  plan::Scenario scenario = CheckedInScenario("ext_serving_tail");
+  scenario.serving.classes[0].compute_per_line = 0;
+  scenario.serving.classes[0].mem_cycles_per_line = 0;
+  // Every load fails; the error names the highest one, [55, 100].
+  ExpectRejectedAt(scenario, "$.serving_sweep.loads[4]");
+}
+
+TEST(PlanScenarioTest, ServingClassWithZeroPassesAndNoStreamIsRejected) {
+  plan::Scenario scenario = CheckedInScenario("ext_serving_tail");
+  ASSERT_EQ(scenario.serving.classes[0].stream_lines, 0u);
+  scenario.serving.classes[0].passes = 0;
+  ExpectRejectedAt(scenario, "$.serving_sweep.classes[0]");
+}
+
+TEST(PlanScenarioTest, ServingLoadTooHighForArrivalGapsIsRejected) {
+  plan::Scenario scenario = CheckedInScenario("ext_serving_tail");
+  scenario.serving.smoke_loads = {plan::Fraction{100000000, 1}};
+  ExpectRejectedAt(scenario, "$.serving_sweep.smoke_loads[0]");
+}
+
 TEST(PlanScenarioTest, LatencyWaysBeyondLlcAreRejected) {
   plan::Scenario scenario = CheckedInScenario("fig04_scan_cache_size");
   const uint32_t llc_ways = sim::MachineConfig{}.hierarchy.llc.num_ways;

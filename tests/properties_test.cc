@@ -331,11 +331,14 @@ TEST(AccountingTest, MakespanIsSumOfRounds) {
   // Single-item rounds: the makespan equals the sum of two solo runs.
   std::vector<engine::Round> solos = {engine::Round{{0}},
                                       engine::Round{{1}}};
-  const uint64_t both = engine::ExecuteRounds(&m, batch, solos, off);
+  const uint64_t both =
+      engine::ExecuteRoundsReport(&m, batch, solos, off).makespan_cycles;
   const uint64_t first =
-      engine::ExecuteRounds(&m, batch, {engine::Round{{0}}}, off);
+      engine::ExecuteRoundsReport(&m, batch, {engine::Round{{0}}}, off)
+          .makespan_cycles;
   const uint64_t second =
-      engine::ExecuteRounds(&m, batch, {engine::Round{{1}}}, off);
+      engine::ExecuteRoundsReport(&m, batch, {engine::Round{{1}}}, off)
+          .makespan_cycles;
   EXPECT_EQ(both, first + second);
 }
 
