@@ -41,6 +41,8 @@ class OltpBatchJob : public Job {
   const std::vector<const storage::DictColumn*>* projection_;
   std::vector<uint32_t> target_rows_;
   uint64_t cursor_ = 0;
+  // One query's packed codes: key columns, then projected columns.
+  std::vector<uint32_t> codes_;
 };
 
 /// The OLTP query stream: one phase per iteration, one batch job per worker.

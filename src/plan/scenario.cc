@@ -10,6 +10,7 @@
 #include "cat/cat_controller.h"
 #include "common/check.h"
 #include "sim/machine.h"
+#include "simcache/cache_geometry.h"
 
 namespace catdb::plan {
 
@@ -401,12 +402,29 @@ Status ValidateScenario(const Scenario& scenario) {
               ": a request class needs a concrete annotation "
               "(polluting|sensitive|adaptive)");
         }
-        if (static_cast<uint64_t>(c.passes) * c.private_lines +
-                c.stream_lines ==
-            0) {
+        // A request's line count, its service-cycle estimate and its
+        // tenant's private region (private_lines * kLineSize bytes) are
+        // uint64 at run time. The line count is exact in 128 bits (passes
+        // has 32), so one checked multiply covers the estimate.
+        const unsigned __int128 lines =
+            static_cast<unsigned __int128>(c.passes) * c.private_lines +
+            c.stream_lines;
+        if (lines == 0) {
           return Status::InvalidArgument(
               path + ": class touches no lines (passes * private_lines + "
                      "stream_lines is 0)");
+        }
+        uint64_t service_cycles = 0;
+        if (lines > ~uint64_t{0} ||
+            __builtin_mul_overflow(
+                static_cast<uint64_t>(lines),
+                uint64_t{c.compute_per_line} + c.mem_cycles_per_line,
+                &service_cycles) ||
+            c.private_lines > ~uint64_t{0} / simcache::kLineSize) {
+          return Status::InvalidArgument(
+              path + ": a size overflows 64 bits (the lines per request, "
+                     "their estimated service cycles, or the private region "
+                     "of private_lines * 64 bytes)");
         }
       }
       if (s.class_deal.empty()) {

@@ -192,6 +192,16 @@ ServingRunReport ServeWorkload(sim::Machine* machine,
   for (const TenantSpec& t : config.tenants) {
     CATDB_CHECK(t.class_id < config.classes.size());
   }
+  for (const RequestClass& klass : config.classes) {
+    // RequestJob counts a request's lines in uint64, and a tenant's private
+    // region is private_lines * kLineSize bytes (plan::ValidateScenario
+    // rejects scenario classes where either overflows).
+    uint64_t lines = 0;
+    CATDB_CHECK(!__builtin_mul_overflow(klass.private_lines,
+                                        uint64_t{klass.passes}, &lines) &&
+                !__builtin_add_overflow(lines, klass.stream_lines, &lines) &&
+                klass.private_lines <= ~uint64_t{0} / simcache::kLineSize);
+  }
   for (uint32_t core : config.cores) {
     CATDB_CHECK(core < machine->num_cores());
   }

@@ -46,9 +46,13 @@ Status Machine::ValidateConfig(const MachineConfig& config) {
     return Status::InvalidArgument(
         "cache geometries must have power-of-two sets and 1..64 ways");
   }
-  // StreamPrefetcher CHECKs both, enabled or not.
-  if (h.prefetcher.num_streams < 1) {
-    return Status::InvalidArgument("prefetcher.num_streams must be at least 1");
+  // StreamPrefetcher CHECKs these, enabled or not: its LRU stamps tag the
+  // stream slot in six bits.
+  static_assert(simcache::StreamPrefetcher::kMaxStreams == 64);
+  if (h.prefetcher.num_streams < 1 ||
+      h.prefetcher.num_streams > simcache::StreamPrefetcher::kMaxStreams) {
+    return Status::InvalidArgument(
+        "prefetcher.num_streams must be between 1 and 64");
   }
   if (h.prefetcher.trigger_run < 1) {
     return Status::InvalidArgument("prefetcher.trigger_run must be at least 1");

@@ -29,12 +29,14 @@ struct PrefetcherConfig {
 ///
 /// Storage is struct-of-arrays: the stream heads live in one dense uint64_t
 /// run with an all-ones sentinel marking free slots, so the per-access
-/// questions — "is this line a stream head?", "is line-1 a stream head?",
-/// "is there a free slot?" — are each a way_scan::FindWay probe over the
-/// head run, SIMD-dispatched like the cache's way search, and LRU victim
-/// selection is a MinStampWay over the parallel stamp array. Stamps, next-
-/// prefetch pointers, and run lengths sit in their own arrays, touched only
-/// for the single stream an access resolves to.
+/// questions — "is this line a stream head?", "is line-1 a stream head?" —
+/// are each a way_scan::FindWay probe over the head run, SIMD-dispatched like
+/// the cache's way search. Slots are freed only by Reset and claimed lowest
+/// first, so the free slots are exactly [live, num_streams): a new stream
+/// takes slot `live` without a probe, and once every slot is live, LRU
+/// victim selection is a MinStampWay over the parallel (way-tagged) stamp
+/// array. Stamps, next-prefetch pointers, and run lengths sit in their own
+/// arrays, touched only for the single stream an access resolves to.
 class StreamPrefetcher {
  public:
   /// Sentinel head marking a free stream slot. Line addresses are byte
@@ -42,6 +44,12 @@ class StreamPrefetcher {
   /// as the cache's invalid-tag sentinel), so a head probe for a real line
   /// can never land on a free slot.
   static constexpr uint64_t kNoStream = ~uint64_t{0};
+
+  /// Most streams per core: a stamp's way tag (way_scan::TaggedStamp) names
+  /// the stream slot in six bits. Machine::ValidateConfig rejects more; the
+  /// constructor CHECKs it.
+  static constexpr uint32_t kMaxStreams = uint32_t{1}
+                                          << way_scan::kStampWayBits;
 
   explicit StreamPrefetcher(const PrefetcherConfig& config);
 
@@ -63,7 +71,8 @@ class StreamPrefetcher {
     const int head = way_scan::FindWay<L>(heads_.data(), n, line);
     if (head >= 0) {
       // Re-access of a stream head: refresh recency, nothing to prefetch.
-      stamps_[static_cast<uint32_t>(head)] = ++stamp_counter_;
+      stamps_[static_cast<uint32_t>(head)] =
+          NextStamp(static_cast<uint32_t>(head));
       return;
     }
     if (line != 0) {  // line 0 has no predecessor (and ~0 marks free slots)
@@ -73,19 +82,12 @@ class StreamPrefetcher {
         return;
       }
     }
-    // New stream: claim the first free slot, else evict the LRU stream. No
-    // free slot means every slot is live, so the unguarded stamp minimum is
-    // the minimum over live streams; first occurrence is the lowest-index
-    // tie-break (stamps are unique while live, but Reset leaves equal
-    // zeros).
-    const int free_slot = way_scan::FindWay<L>(heads_.data(), n, kNoStream);
-    const uint32_t victim = static_cast<uint32_t>(
-        free_slot >= 0 ? free_slot
-                       : way_scan::MinStampWay<L>(stamps_.data(), n));
-    heads_[victim] = line;
-    next_prefetch_[victim] = line + 1;
-    run_length_[victim] = 1;
-    stamps_[victim] = ++stamp_counter_;
+    // New stream: claim the first free slot, else evict the LRU stream (all
+    // slots live, so the unguarded stamp minimum is over live streams).
+    Allocate(live_ < n ? live_
+                       : static_cast<uint32_t>(
+                             way_scan::MinStampWay<L>(stamps_.data(), n)),
+             line);
   }
 
   /// Run-granular training, for the hierarchy's batched access path. A *run*
@@ -122,7 +124,7 @@ class StreamPrefetcher {
       // next run line extends it; the abandoned cursor's head now trails
       // the run and can never match again.
       const uint32_t s = run_collisions_[run_collision_idx_++];
-      stamps_[s] = ++stamp_counter_;
+      stamps_[s] = NextStamp(s);
       run_cursor_ = static_cast<int>(s);
       return;
     }
@@ -132,12 +134,35 @@ class StreamPrefetcher {
   /// Drops all tracked streams (e.g. between experiment runs).
   void Reset();
 
+  /// Slots holding a stream: exactly [0, live_streams()).
+  uint32_t live_streams() const { return live_; }
+
+  /// Whether slot `s` holds a stream (its head is not kNoStream); tests pin
+  /// the live count against it.
+  bool SlotLive(uint32_t s) const { return heads_[s] != kNoStream; }
+
  private:
+  // The next LRU stamp, tagged with the slot it is written to.
+  uint64_t NextStamp(uint32_t s) {
+    return way_scan::TaggedStamp(++stamp_counter_, s);
+  }
+
+  // Starts a new stream at `line` in slot `s`: the slot `live_` (counted
+  // live from here) or the evicted LRU stream's.
+  void Allocate(uint32_t s, uint64_t line) {
+    CATDB_DCHECK(s < live_ || (s == live_ && heads_[s] == kNoStream));
+    if (s == live_) ++live_;
+    heads_[s] = line;
+    next_prefetch_[s] = line + 1;
+    run_length_[s] = 1;
+    stamps_[s] = NextStamp(s);
+  }
+
   // Inline: per-line work of every sequential stream (demand and batched).
   void ExtendStream(uint32_t s, uint64_t line, std::vector<uint64_t>* out) {
     heads_[s] = line;
     run_length_[s]++;
-    stamps_[s] = ++stamp_counter_;
+    stamps_[s] = NextStamp(s);
     if (run_length_[s] >= config_.trigger_run) {
       if (next_prefetch_[s] <= line) next_prefetch_[s] = line + 1;
       // Hardware streamers do not cross 4 KiB page boundaries: the next
@@ -152,13 +177,16 @@ class StreamPrefetcher {
   }
 
   PrefetcherConfig config_;
-  // SoA stream table; slot i is live iff heads_[i] != kNoStream. heads_ is
-  // the probe target; the other arrays are touched per resolved stream only.
+  // SoA stream table; slot i is live iff heads_[i] != kNoStream, which
+  // holds exactly for i < live_. heads_ is the probe target; the other
+  // arrays are touched per resolved stream only. Stamps of slot i carry i
+  // in their low bits, from construction on.
   std::vector<uint64_t> heads_;
   std::vector<uint64_t> stamps_;
   std::vector<uint64_t> next_prefetch_;
   std::vector<uint32_t> run_length_;
   uint64_t stamp_counter_ = 0;
+  uint32_t live_ = 0;
   // Batched-run cursor state (valid between BeginRun and the end of the
   // run): the cursor stream's slot, the slots of other streams whose frozen
   // heads lie inside the run's line range (ascending by head), and the next

@@ -9,7 +9,12 @@ SetAssocCache::SetAssocCache(CacheGeometry geometry) : geometry_(geometry) {
   CATDB_CHECK(geometry_.num_ways <= 255);  // way_hint_ element width
   const size_t n = SetBaseIndex(geometry_, geometry_.num_sets);
   tags_.assign(n, kInvalidTag);
-  lru_stamps_.assign(n, 0);
+  lru_stamps_.resize(n);
+  for (size_t base = 0; base < n; base += geometry_.num_ways) {
+    for (uint32_t w = 0; w < geometry_.num_ways; ++w) {
+      lru_stamps_[base + w] = way_scan::TaggedStamp(0, w);
+    }
+  }
   presence_.assign(n, 0);
   owners_.assign(n, 0);
   way_hint_.assign(geometry_.num_sets, 0);
@@ -23,7 +28,7 @@ bool SetAssocCache::Lookup(uint64_t line) {
   // tag check and falls through to the scan.
   const size_t hint = SetBase(set) + way_hint_[set];
   if (tags_[hint] == line) {
-    lru_stamps_[hint] = ++stamp_counter_;
+    lru_stamps_[hint] = NextStamp(way_hint_[set]);
     return true;
   }
   return LookupScan(set, line) >= 0;

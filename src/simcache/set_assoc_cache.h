@@ -82,7 +82,7 @@ class SetAssocCache {
     const uint32_t set = geometry_.SetOf(line);
     const size_t hint = SetBase(set) + way_hint_[set];
     if (tags_[hint] == line) {
-      lru_stamps_[hint] = ++stamp_counter_;
+      lru_stamps_[hint] = NextStamp(way_hint_[set]);
       return static_cast<int64_t>(hint);
     }
     return LookupScan<L>(set, line);
@@ -104,20 +104,21 @@ class SetAssocCache {
     const size_t base = SetBase(set);
     const size_t hint = base + way_hint_[set];
     if (tags_[hint] == line) {
-      lru_stamps_[hint] = ++stamp_counter_;
+      lru_stamps_[hint] = NextStamp(way_hint_[set]);
       return true;
     }
     // One hit + first-empty scan over the tag run, then a lowest-stamp scan
     // only when the set is full. Picks FillVictim's full-mask victim: the
-    // first empty way if any, else the first occurrence of the minimum
-    // stamp (all slots valid at that point, so the min over valid slots is
-    // the min over all slots).
+    // first empty way if any, else the way of the minimum stamp (all slots
+    // valid at that point, so the min over valid slots is the min over all
+    // slots).
     const uint32_t n = geometry_.num_ways;
     int empty = -1;
     const int hit =
         way_scan::FindWayOrEmpty<L>(&tags_[base], n, line, &empty);
     if (hit >= 0) {
-      lru_stamps_[base + static_cast<uint32_t>(hit)] = ++stamp_counter_;
+      lru_stamps_[base + static_cast<uint32_t>(hit)] =
+          NextStamp(static_cast<uint32_t>(hit));
       way_hint_[set] = static_cast<uint8_t>(hit);
       return true;
     }
@@ -147,11 +148,12 @@ class SetAssocCache {
     } else {
       valid_count_ += 1;
     }
+    const uint32_t way = static_cast<uint32_t>(slot - base);
     tags_[slot] = line;
     owners_[slot] = owner;
     presence_[slot] = 0;
-    lru_stamps_[slot] = ++stamp_counter_;
-    way_hint_[set] = static_cast<uint8_t>(slot - base);
+    lru_stamps_[slot] = NextStamp(way);
+    way_hint_[set] = static_cast<uint8_t>(way);
     return evicted;
   }
 
@@ -305,10 +307,10 @@ class SetAssocCache {
     const size_t base = SetBase(set);
     // Victim selection reads only the hot tag/stamp arrays: the first empty
     // way the allocation mask allows, else the allowed way with the lowest
-    // stamp (ties to the lowest way index).
+    // stamp.
     const int victim = way_scan::VictimWay<L>(
         &tags_[base], &lru_stamps_[base], geometry_.num_ways, alloc_mask);
-    CATDB_DCHECK(victim >= 0);
+    CATDB_DCHECK(((alloc_mask >> victim) & 1) != 0);
 
     const size_t slot = base + static_cast<uint32_t>(victim);
     std::optional<EvictedLine> evicted;
@@ -321,7 +323,7 @@ class SetAssocCache {
     tags_[slot] = line;
     owners_[slot] = owner;
     presence_[slot] = 0;
-    lru_stamps_[slot] = ++stamp_counter_;
+    lru_stamps_[slot] = NextStamp(static_cast<uint32_t>(victim));
     way_hint_[set] = static_cast<uint8_t>(victim);
     if (slot_out != nullptr) *slot_out = slot;
     return evicted;
@@ -332,9 +334,10 @@ class SetAssocCache {
   int64_t LookupScan(uint32_t set, uint64_t line) {
     const int64_t slot = FindSlot<L>(set, line);
     if (slot >= 0) {
-      lru_stamps_[static_cast<size_t>(slot)] = ++stamp_counter_;
-      way_hint_[set] =
-          static_cast<uint8_t>(static_cast<size_t>(slot) - SetBase(set));
+      const uint32_t way =
+          static_cast<uint32_t>(static_cast<size_t>(slot) - SetBase(set));
+      lru_stamps_[static_cast<size_t>(slot)] = NextStamp(way);
+      way_hint_[set] = static_cast<uint8_t>(way);
     }
     return slot;
   }
@@ -351,10 +354,17 @@ class SetAssocCache {
 
   size_t SetBase(uint32_t set) const { return SetBaseIndex(geometry_, set); }
 
+  // The next LRU stamp, tagged with the way it is written to (see
+  // way_scan::TaggedStamp): a set's minimum stamp names its victim way.
+  uint64_t NextStamp(uint32_t way) {
+    return way_scan::TaggedStamp(++stamp_counter_, way);
+  }
+
   CacheGeometry geometry_;
   // SoA layout. Ways of set s occupy indices [SetBase(s),
   // SetBase(s) + num_ways) of each array. tags_/lru_stamps_ are the hot
   // scan/victim data; presence_/owners_ are cold fill/monitoring data.
+  // Every stamp of way w carries w in its low bits, from construction on.
   std::vector<uint64_t> tags_;
   std::vector<uint64_t> lru_stamps_;
   std::vector<uint32_t> presence_;

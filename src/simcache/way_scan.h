@@ -17,7 +17,7 @@ namespace catdb::simcache {
 /// SIMD dispatch level for the simulator's way scans. The SoA layout keeps a
 /// set's tags (and LRU stamps) in one dense run of uint64_t, so every probe
 /// reduces to four primitives — first way whose tag equals x, the fused
-/// hit + first-empty scan, first way with the lowest stamp, and victim
+/// hit + first-empty scan, the way of the lowest stamp, and victim
 /// selection under a CAT allocation mask:
 ///   kScalar : plain loops. The oracle, the only level on non-x86 builds and
 ///             on hosts without AVX-512F, and the level CATDB_NO_SIMD=1 and
@@ -80,40 +80,50 @@ inline int FindWayOrEmptyScalar(const uint64_t* tags, uint32_t n,
   return -1;
 }
 
-/// Index of the first occurrence of the minimum of stamps[0..n). n >= 1.
-/// (LRU stamps are unique in practice — the stamp counter is monotone — so
-/// "first occurrence" only matters for the all-invalid corner where stale
-/// stamps may repeat; the scalar victim walk breaks ties the same way.)
+/// LRU stamps are way-tagged: every stamp site of the cache and the
+/// prefetcher writes TaggedStamp(++counter, way), and a slot never stamped
+/// holds TaggedStamp(0, way). A run's minimum stamp therefore names its own
+/// way (StampWay), so the minimum scans below need no second pass to locate
+/// it. The counter is unique per stamp, so stamped slots never tie; equal
+/// counters occur only in never-stamped slots, where the tag makes the
+/// lowest such way the smallest stamp — the first-occurrence rule. Way
+/// indices fit the tag because sets have at most 64 ways
+/// (CacheGeometry::Valid) and the prefetcher at most 64 streams
+/// (StreamPrefetcher::kMaxStreams); a counter fits the remaining 58 bits
+/// for 2^58 stamps.
+inline constexpr uint32_t kStampWayBits = 6;
+
+inline uint64_t TaggedStamp(uint64_t counter, uint32_t way) {
+  return (counter << kStampWayBits) | way;
+}
+
+inline int StampWay(uint64_t stamp) {
+  return static_cast<int>(stamp & ((uint64_t{1} << kStampWayBits) - 1));
+}
+
+/// Way of the minimum of the way-tagged stamps[0..n) (see TaggedStamp).
+/// n >= 1.
 inline int MinStampWayScalar(const uint64_t* stamps, uint32_t n) {
-  int best = 0;
-  uint64_t best_val = stamps[0];
+  uint64_t oldest = stamps[0];
   for (uint32_t w = 1; w < n; ++w) {
-    if (stamps[w] < best_val) {
-      best_val = stamps[w];
-      best = static_cast<int>(w);
-    }
+    if (stamps[w] < oldest) oldest = stamps[w];
   }
-  return best;
+  return StampWay(oldest);
 }
 
 /// Victim way for a fill under a CAT allocation mask, as a walk over the
-/// mask's set bits (ascending, so LRU ties break to the lowest way index)
-/// that stops at the first empty way: the first empty allowed way, else the
-/// first allowed way with the lowest stamp. `alloc_mask` selects ways below
-/// the set's way count; -1 only for an empty mask.
+/// mask's set bits that stops at the first empty way: the first empty
+/// allowed way, else the way of the lowest allowed (way-tagged) stamp.
+/// `alloc_mask` is nonzero and selects ways below the set's way count.
 inline int VictimWayMaskedScalar(const uint64_t* tags, const uint64_t* stamps,
                                  uint64_t alloc_mask) {
-  int victim = -1;
   uint64_t oldest = ~uint64_t{0};
   for (uint64_t cand = alloc_mask; cand != 0; cand &= cand - 1) {
     const uint32_t w = static_cast<uint32_t>(__builtin_ctzll(cand));
     if (tags[w] == kEmptyTag) return static_cast<int>(w);
-    if (stamps[w] < oldest) {
-      oldest = stamps[w];
-      victim = static_cast<int>(w);
-    }
+    if (stamps[w] < oldest) oldest = stamps[w];
   }
-  return victim;
+  return StampWay(oldest);
 }
 
 #if CATDB_WAY_SCAN_X86
@@ -123,9 +133,10 @@ inline int VictimWayMaskedScalar(const uint64_t* tags, const uint64_t* stamps,
 // neither read (a masked load does not touch, and cannot fault on, masked-off
 // elements, so the scan never strays into the next set or off the array)
 // nor compared. Only a target("avx512f") caller can inline them. The
-// explicit-source intrinsic forms (mask_min, mask_permutexvar, mask_cmpeq)
-// are deliberate: GCC 12 raises -Wmaybe-uninitialized inside
-// avx512fintrin.h for their unmasked shorthands.
+// explicit-source intrinsic forms (mask_min, mask_permutexvar, mask_cmpeq,
+// mask_extracti32x4) are deliberate: GCC 12 raises -Wmaybe-uninitialized
+// inside avx512fintrin.h for their unmasked shorthands (and for
+// castsi512_si128).
 #define CATDB_AVX512_KERNEL __attribute__((target("avx512f"))) inline
 
 /// Lanes of the eight-way step starting `left` ways before the run's end.
@@ -168,9 +179,10 @@ CATDB_AVX512_KERNEL int FindWayOrEmptyAvx512(const uint64_t* tags,
   return -1;
 }
 
-/// The minimum of the eight unsigned lanes, broadcast to every lane: three
-/// rounds of min against the lanes at distance 4, 2 and 1.
-CATDB_AVX512_KERNEL __m512i BroadcastMinU64(__m512i m) {
+/// The minimum of the eight unsigned lanes: three rounds of min against the
+/// lanes at distance 4, 2 and 1 leave it in lane 0, which the explicit-source
+/// extract (one vmovq with the final cvtsi128) hands back.
+CATDB_AVX512_KERNEL uint64_t MinLaneU64(__m512i m) {
   const __m512i swap4 = _mm512_set_epi64(3, 2, 1, 0, 7, 6, 5, 4);
   const __m512i swap2 = _mm512_set_epi64(5, 4, 7, 6, 1, 0, 3, 2);
   const __m512i swap1 = _mm512_set_epi64(6, 7, 4, 5, 2, 3, 0, 1);
@@ -178,26 +190,22 @@ CATDB_AVX512_KERNEL __m512i BroadcastMinU64(__m512i m) {
                             _mm512_mask_permutexvar_epi64(m, 0xFF, swap4, m));
   m = _mm512_mask_min_epu64(m, 0xFF, m,
                             _mm512_mask_permutexvar_epi64(m, 0xFF, swap2, m));
-  return _mm512_mask_min_epu64(
-      m, 0xFF, m, _mm512_mask_permutexvar_epi64(m, 0xFF, swap1, m));
+  m = _mm512_mask_min_epu64(m, 0xFF, m,
+                            _mm512_mask_permutexvar_epi64(m, 0xFF, swap1, m));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(
+      _mm512_mask_extracti32x4_epi32(_mm_setzero_si128(), 0xF, m, 0)));
 }
 
-/// First occurrence of the minimum: the lane-wise minimum over all steps,
-/// reduced across lanes, then the lowest way holding that value (unsigned
-/// compares throughout, so any stamp value orders correctly). n >= 1.
+/// Way of the minimum way-tagged stamp: the lane-wise minimum over all
+/// steps, reduced across lanes (unsigned compares throughout, so any stamp
+/// value orders correctly). n >= 1.
 CATDB_AVX512_KERNEL int MinStampWayAvx512(const uint64_t* stamps, uint32_t n) {
   __m512i m = _mm512_set1_epi64(-1);
   for (uint32_t w = 0; w < n; w += 8) {
     const __mmask8 k = StepLanes(n - w);
     m = _mm512_mask_min_epu64(m, k, m, _mm512_maskz_loadu_epi64(k, stamps + w));
   }
-  const __m512i minv = BroadcastMinU64(m);
-  for (uint32_t w = 0;; w += 8) {
-    const __mmask8 k = StepLanes(n - w);
-    const unsigned eq = _mm512_mask_cmpeq_epu64_mask(
-        k, _mm512_maskz_loadu_epi64(k, stamps + w), minv);
-    if (eq != 0) return static_cast<int>(w) + __builtin_ctz(eq);
-  }
+  return StampWay(MinLaneU64(m));
 }
 
 /// VictimWayMaskedScalar with the allocation mask as the lane mask: full and
@@ -216,14 +224,7 @@ CATDB_AVX512_KERNEL int VictimWayAvx512(const uint64_t* tags,
     if (em != 0) return static_cast<int>(w) + __builtin_ctz(em);
     m = _mm512_mask_min_epu64(m, k, m, _mm512_maskz_loadu_epi64(k, stamps + w));
   }
-  const __m512i minv = BroadcastMinU64(m);
-  for (uint32_t w = 0; w < n; w += 8) {
-    const __mmask8 k = static_cast<__mmask8>(alloc_mask >> w);
-    const unsigned eq = _mm512_mask_cmpeq_epu64_mask(
-        k, _mm512_maskz_loadu_epi64(k, stamps + w), minv);
-    if (eq != 0) return static_cast<int>(w) + __builtin_ctz(eq);
-  }
-  return -1;
+  return StampWay(MinLaneU64(m));
 }
 
 #undef CATDB_AVX512_KERNEL
@@ -257,7 +258,7 @@ inline int FindWayOrEmpty(const uint64_t* tags, uint32_t n, uint64_t needle,
   return FindWayOrEmptyScalar(tags, n, needle, first_empty);
 }
 
-/// Dispatched first-minimum scan. n >= 1.
+/// Dispatched way of the minimum way-tagged stamp. n >= 1.
 template <SimdLevel L>
 inline int MinStampWay(const uint64_t* stamps, uint32_t n) {
 #if CATDB_WAY_SCAN_X86
@@ -267,7 +268,7 @@ inline int MinStampWay(const uint64_t* stamps, uint32_t n) {
 }
 
 /// Dispatched victim selection: the first empty way allowed by
-/// `alloc_mask`, else the first allowed way with the lowest stamp.
+/// `alloc_mask`, else the way of the lowest allowed way-tagged stamp.
 /// `alloc_mask` is nonzero and selects ways below n. The scalar level splits
 /// the full mask (a first-empty scan, then a minimum scan) from a CAT
 /// restriction (the bit walk); both pick the same victim.

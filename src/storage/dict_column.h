@@ -36,13 +36,6 @@ class DictColumn {
     return dict_.Decode(codes_.Get(row));
   }
 
-  /// Simulated point access: read the packed code, then decode through the
-  /// dictionary — two dependent memory accesses, as in a real projection.
-  int32_t GetValueSim(sim::ExecContext& ctx, uint64_t row) const {
-    const uint32_t code = codes_.GetSim(ctx, row);
-    return dict_.DecodeSim(ctx, code);
-  }
-
   /// Registers both dictionary and code vector with the machine.
   void AttachSim(sim::Machine* machine);
   bool attached() const { return codes_.attached(); }

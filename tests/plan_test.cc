@@ -341,6 +341,59 @@ TEST(PlanScenarioTest, ServingLoadTooHighForArrivalGapsIsRejected) {
   ExpectRejectedAt(scenario, "$.serving_sweep.smoke_loads[0]");
 }
 
+// Each of the next three classes has one size that wraps in uint64 and
+// would run as a much smaller class (or allocate a wrapped region).
+void ExpectClassOverflowRejected(const plan::ServeClassSpec& klass) {
+  plan::Scenario scenario = CheckedInScenario("ext_serving_tail");
+  scenario.serving.classes[0] = klass;
+  const Status st = plan::ValidateScenario(scenario);
+  ASSERT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message().rfind("$.serving_sweep.classes[0]: a size overflows",
+                               0),
+            0u)
+      << st.message();
+}
+
+TEST(PlanScenarioTest, ServingClassLineTotalOverflowIsRejected) {
+  plan::ServeClassSpec klass =
+      CheckedInScenario("ext_serving_tail").serving.classes[0];
+  // 256 * (2^57 + 1) = 2^65 + 256 lines wraps to 256; the private region
+  // of (2^57 + 1) * 64 bytes still fits.
+  klass.private_lines = (uint64_t{1} << 57) + 1;
+  klass.passes = 256;
+  klass.stream_lines = 0;
+  ExpectClassOverflowRejected(klass);
+  // A total of exactly 2^64 through the stream term.
+  klass.private_lines = 1;
+  klass.passes = 1;
+  klass.stream_lines = ~uint64_t{0};
+  ExpectClassOverflowRejected(klass);
+}
+
+TEST(PlanScenarioTest, ServingClassServiceCycleOverflowIsRejected) {
+  plan::ServeClassSpec klass =
+      CheckedInScenario("ext_serving_tail").serving.classes[0];
+  // 2^56 lines fit; 2^56 * (2^20 + 16) cycles wrap to 2^60.
+  klass.private_lines = uint64_t{1} << 40;
+  klass.passes = uint32_t{1} << 16;
+  klass.stream_lines = 0;
+  klass.compute_per_line = uint32_t{1} << 20;
+  klass.mem_cycles_per_line = 16;
+  ExpectClassOverflowRejected(klass);
+}
+
+TEST(PlanScenarioTest, ServingClassPrivateRegionOverflowIsRejected) {
+  plan::ServeClassSpec klass =
+      CheckedInScenario("ext_serving_tail").serving.classes[0];
+  // 2^58 lines and 2^58 cycles fit; 2^58 * 64 bytes wraps to 0.
+  klass.private_lines = uint64_t{1} << 58;
+  klass.passes = 1;
+  klass.stream_lines = 0;
+  klass.compute_per_line = 1;
+  klass.mem_cycles_per_line = 0;
+  ExpectClassOverflowRejected(klass);
+}
+
 TEST(PlanScenarioTest, LatencyWaysBeyondLlcAreRejected) {
   plan::Scenario scenario = CheckedInScenario("fig04_scan_cache_size");
   const uint32_t llc_ways = sim::MachineConfig{}.hierarchy.llc.num_ways;

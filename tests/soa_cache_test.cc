@@ -1,13 +1,16 @@
 // Property tests pinning the SoA SetAssocCache against the independent
-// array-of-structs model of model_hierarchy.h, plus regression tests for the
-// three hardening fixes that rode along with the SoA refactor: SetBaseIndex
-// 64-bit indexing, the presence-mask core-count bound in
-// Machine::ValidateConfig, and the way_hint_ width CHECK.
+// array-of-structs model of model_hierarchy.h and, victim by victim, against
+// a list-based true-LRU model; the prefetcher's live-slot count; regression
+// tests for SetBaseIndex 64-bit indexing and the Machine::ValidateConfig
+// bounds (presence-mask cores, prefetcher fields, DRAM transfer); and the
+// way-scan kernels against scalar oracles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "model_hierarchy.h"
 #include "sim/machine.h"
 #include "simcache/cache_geometry.h"
+#include "simcache/prefetcher.h"
 #include "simcache/set_assoc_cache.h"
 #include "simcache/way_scan.h"
 
@@ -142,6 +146,209 @@ TEST(SoaCachePropertyTest, LookupOrVictimFillAtMatchesLookupInsertNew) {
   }
 }
 
+// True LRU kept as lists, sharing nothing with the cache's stamps: per set,
+// the line in each way and the ways in recency order (front = most recent).
+// A fill's victim is the lowest empty way the mask allows, else the allowed
+// way nearest the back of the recency list.
+class ListLruModel {
+ public:
+  explicit ListLruModel(const CacheGeometry& g)
+      : g_(g),
+        lines_(g.num_sets, std::vector<uint64_t>(g.num_ways, kEmpty)),
+        recency_(g.num_sets) {}
+
+  int WayOf(uint64_t line) const {
+    const std::vector<uint64_t>& ways = lines_[g_.SetOf(line)];
+    const auto it = std::find(ways.begin(), ways.end(), line);
+    return it == ways.end() ? -1 : static_cast<int>(it - ways.begin());
+  }
+
+  bool Lookup(uint64_t line) {
+    const int way = WayOf(line);
+    if (way >= 0) Touch(g_.SetOf(line), static_cast<uint32_t>(way));
+    return way >= 0;
+  }
+
+  int Victim(uint64_t line, uint64_t mask) const {
+    const uint32_t set = g_.SetOf(line);
+    for (uint32_t w = 0; w < g_.num_ways; ++w) {
+      if (((mask >> w) & 1) != 0 && lines_[set][w] == kEmpty) {
+        return static_cast<int>(w);
+      }
+    }
+    for (auto it = recency_[set].rbegin(); it != recency_[set].rend(); ++it) {
+      if (((mask >> *it) & 1) != 0) return static_cast<int>(*it);
+    }
+    return -1;
+  }
+
+  // Fills `line` into `way`; returns the line it evicts, if any.
+  std::optional<uint64_t> Fill(uint64_t line, uint32_t way) {
+    const uint32_t set = g_.SetOf(line);
+    std::optional<uint64_t> evicted;
+    if (lines_[set][way] != kEmpty) {
+      evicted = lines_[set][way];
+    } else {
+      count_ += 1;
+    }
+    lines_[set][way] = line;
+    Touch(set, way);
+    return evicted;
+  }
+
+  bool Invalidate(uint64_t line) {
+    const int way = WayOf(line);
+    if (way < 0) return false;
+    const uint32_t set = g_.SetOf(line);
+    lines_[set][static_cast<uint32_t>(way)] = kEmpty;
+    recency_[set].remove(static_cast<uint32_t>(way));
+    count_ -= 1;
+    return true;
+  }
+
+  void Clear() {
+    for (std::vector<uint64_t>& ways : lines_) {
+      std::fill(ways.begin(), ways.end(), kEmpty);
+    }
+    for (std::list<uint32_t>& order : recency_) order.clear();
+    count_ = 0;
+  }
+
+  uint64_t count() const { return count_; }
+
+ private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  void Touch(uint32_t set, uint32_t way) {
+    recency_[set].remove(way);
+    recency_[set].push_front(way);
+  }
+
+  CacheGeometry g_;
+  std::vector<std::vector<uint64_t>> lines_;
+  std::vector<std::list<uint32_t>> recency_;
+  uint64_t count_ = 0;
+};
+
+// Random lookups, LookupOrVictim + FillAt pairs, InsertNewAt fills under
+// random CAT masks, invalidations and clears; every victim the cache picks
+// (read back from the slot it reports) must be the list model's.
+template <SimdLevel L>
+void ExpectVictimsMatchListLru(uint32_t ways) {
+  const CacheGeometry g{4, ways};
+  SetAssocCache cache(g);
+  ListLruModel model(g);
+  Rng rng(0x11F0 ^ ways);
+  const uint64_t full = cache.FullMask();
+  const uint64_t universe = uint64_t{g.num_sets} * ways * 3;
+  for (uint64_t step = 0; step < 20000; ++step) {
+    const std::string at = "ways=" + std::to_string(ways) + " level=" +
+                           std::to_string(static_cast<int>(L)) +
+                           " step=" + std::to_string(step);
+    const uint64_t line = rng.Next() % universe;
+    const size_t base = SetAssocCache::SetBaseIndex(g, g.SetOf(line));
+    // Checks a fill into `slot` against the model's victim under `mask`.
+    auto expect_fill = [&](size_t slot, uint64_t mask,
+                           const std::optional<EvictedLine>& evicted) {
+      const int want = model.Victim(line, mask);
+      ASSERT_EQ(static_cast<int64_t>(slot - base), want) << at;
+      const std::optional<uint64_t> model_evicted =
+          model.Fill(line, static_cast<uint32_t>(want));
+      ASSERT_EQ(evicted.has_value(), model_evicted.has_value()) << at;
+      if (evicted.has_value()) {
+        ASSERT_EQ(evicted->line, *model_evicted) << at;
+      }
+    };
+    switch (rng.Next() % 16) {
+      case 0: case 1: case 2: {
+        ASSERT_EQ(cache.LookupSlotHinted<L>(line) >= 0, model.Lookup(line))
+            << at;
+        break;
+      }
+      case 3: {
+        ASSERT_EQ(cache.Lookup(line), model.Lookup(line)) << at;
+        break;
+      }
+      case 4: case 5: case 6: case 7: case 8: {
+        size_t slot = 0;
+        const bool hit = cache.LookupOrVictim<L>(line, &slot);
+        ASSERT_EQ(hit, model.Lookup(line)) << at;
+        if (!hit) expect_fill(slot, full, cache.FillAt(slot, line));
+        break;
+      }
+      case 9: case 10: case 11: case 12: case 13: {
+        if (model.WayOf(line) >= 0) break;
+        uint64_t mask = rng.Next() & full;
+        if (mask == 0) mask = uint64_t{1} << (rng.Next() % ways);
+        size_t slot = 0;
+        const std::optional<EvictedLine> evicted =
+            cache.InsertNewAt<L>(line, mask, /*owner=*/0, &slot);
+        expect_fill(slot, mask, evicted);
+        break;
+      }
+      case 14: {
+        ASSERT_EQ(cache.Invalidate<L>(line), model.Invalidate(line)) << at;
+        break;
+      }
+      default: {
+        if (rng.Next() % 256 == 0) {
+          cache.Clear();
+          model.Clear();
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(cache.ValidLineCount(), model.count()) << at;
+  }
+}
+
+TEST(SoaCachePropertyTest, VictimsMatchListLruModelAtEveryWayCount) {
+  const bool avx512 = DetectSimdLevel() == SimdLevel::kAvx512;
+  for (const uint32_t ways : {1u, 2u, 8u, 20u, 63u, 64u}) {
+    ExpectVictimsMatchListLru<SimdLevel::kScalar>(ways);
+    if (avx512) ExpectVictimsMatchListLru<SimdLevel::kAvx512>(ways);
+  }
+}
+
+// The prefetcher's live count must name exactly the slots whose head is
+// not the free sentinel, [0, live), through demand and BeginRun
+// allocations, LRU evictions (which keep the count) and resets.
+TEST(StreamPrefetcherLiveCountTest, MatchesFreeHeadsThroughAllocationAndReset) {
+  PrefetcherConfig cfg;
+  cfg.num_streams = 4;
+  StreamPrefetcher pf(cfg);
+  auto expect_live = [&](uint32_t want, const char* after) {
+    EXPECT_EQ(pf.live_streams(), want) << after;
+    for (uint32_t s = 0; s < cfg.num_streams; ++s) {
+      EXPECT_EQ(pf.SlotLive(s), s < want) << after << ", slot " << s;
+    }
+  };
+  std::vector<uint64_t> out;
+  expect_live(0, "construction");
+  pf.OnDemandAccess(1000, &out);
+  expect_live(1, "demand allocation");
+  pf.OnDemandAccess(1001, &out);
+  pf.OnDemandAccess(1001, &out);
+  expect_live(1, "extension and head re-access");
+  pf.BeginRun(5000, 5008, &out);
+  for (uint64_t line = 5001; line <= 5008; ++line) pf.OnRunAccess(line, &out);
+  expect_live(2, "BeginRun allocation");
+  pf.OnDemandAccess(9000, &out);
+  pf.OnDemandAccess(13000, &out);
+  expect_live(4, "filling every slot");
+  pf.OnDemandAccess(17000, &out);
+  pf.BeginRun(21000, 21003, &out);
+  expect_live(4, "LRU evictions");
+  pf.Reset();
+  expect_live(0, "Reset");
+  pf.BeginRun(30000, 30002, &out);
+  expect_live(1, "BeginRun allocation after Reset");
+  pf.OnDemandAccess(40000, &out);
+  expect_live(2, "demand allocation after Reset");
+  pf.Reset();
+  expect_live(0, "second Reset");
+}
+
 // Regression test for a 32-bit overflow in per-set indexing: computing
 // `set * num_ways` in uint32_t wraps once num_sets * num_ways exceeds 2^32
 // and silently aliases distant sets onto the same storage. SetBaseIndex is
@@ -202,6 +409,18 @@ TEST(MachineValidateConfigTest, RejectsPrefetcherFieldsTheConstructorAbortsOn) {
   config = sim::MachineConfig{};
   config.hierarchy.prefetcher.trigger_run = 0;
   ExpectInvalidNaming(config, "prefetcher.trigger_run");
+}
+
+// A prefetcher stamp tags its stream slot in six bits, so at most 64
+// streams: 65 is rejected before the constructor's CHECK, 64 constructs.
+TEST(MachineValidateConfigTest, RejectsMoreStreamsThanStampTagsHold) {
+  sim::MachineConfig config;
+  config.hierarchy.prefetcher.num_streams = 65;
+  ExpectInvalidNaming(config, "prefetcher.num_streams");
+  config.hierarchy.prefetcher.num_streams = 64;
+  EXPECT_TRUE(sim::Machine::ValidateConfig(config).ok());
+  StreamPrefetcher pf(config.hierarchy.prefetcher);
+  EXPECT_EQ(pf.live_streams(), 0u);
 }
 
 TEST(MachineValidateConfigTest, RejectsDramTransferOutsideChannelRange) {
@@ -304,49 +523,91 @@ TEST(WayScanEquivalenceTest, FindScansMatchScalarAtAllWayCounts) {
   }
 }
 
+// The minimum scans read way-tagged stamps (way_scan::TaggedStamp): the way
+// they return is the minimum's low six bits, which must be the way the
+// first-occurrence rule picks over the untagged counters. These oracles
+// state that rule over raw counters: the first way holding the minimum
+// counter, and the mask's bit walk (first empty allowed way, else the first
+// allowed way with the minimum counter).
+int FirstMinCounterWay(const uint64_t* counters, uint32_t n) {
+  int best = 0;
+  for (uint32_t w = 1; w < n; ++w) {
+    if (counters[w] < counters[best]) best = static_cast<int>(w);
+  }
+  return best;
+}
+
+int FirstVictimWay(const uint64_t* tags, const uint64_t* counters,
+                   uint64_t mask) {
+  int victim = -1;
+  for (uint64_t cand = mask; cand != 0; cand &= cand - 1) {
+    const int w = __builtin_ctzll(cand);
+    if (tags[w] == way_scan::kEmptyTag) return w;
+    if (victim < 0 || counters[w] < counters[victim]) victim = w;
+  }
+  return victim;
+}
+
+// stamps[w] = TaggedStamp(counters[w], w) for every way of the run.
+void TagStamps(const uint64_t* counters, uint32_t n, uint64_t* stamps) {
+  for (uint32_t w = 0; w < n; ++w) {
+    stamps[w] = way_scan::TaggedStamp(counters[w], w);
+  }
+}
+
+// Counters fit 64 - kStampWayBits bits; this is the top one.
+constexpr uint64_t kTopCounterBit = uint64_t{1}
+                                    << (63 - way_scan::kStampWayBits);
+
 // Min-stamp (LRU victim) scans and victim selection under an allocation
-// mask: first occurrence of the minimum, including forced duplicate stamps
-// (the tie-break to the lowest way index), stamps across the full 64-bit
-// range (the kernels compare unsigned), and random nonzero masks against
-// the scalar bit walk.
+// mask, on way-tagged stamps: counters drawn from a 3-value range (ties,
+// which the tag breaks to the lowest way), counters with the top usable bit
+// set (the stamp's bit 63: the kernels must compare unsigned), random
+// nonzero masks, and guard ways past the run holding the smallest stamp.
 TEST(WayScanEquivalenceTest, MinStampMatchesScalarAtAllWayCounts) {
   using namespace way_scan;
   const bool avx512 = Avx512HalfRuns();
   (void)avx512;
   Rng rng(0xA11C);
+  uint64_t counters[kMaxScanWays];
   uint64_t stamps[kMaxScanWays + kGuardWays];
   uint64_t tags[kMaxScanWays + kGuardWays];
   for (uint32_t n = 1; n <= kMaxScanWays; ++n) {
     const uint64_t full = MaskForWays(n);
     for (int iter = 0; iter < 1000; ++iter) {
-      // Alternate wide-range stamps (unique in practice, like the live LRU
-      // counter) with a tiny value range that forces duplicates.
+      // Alternate wide-range counters (unique in practice, like the live
+      // stamp counter) with a tiny value range that forces duplicates.
       const bool dup = (iter & 1) != 0;
       for (uint32_t w = 0; w < n; ++w) {
-        stamps[w] = dup ? 1 + rng.Next() % 3 : 1 + (rng.Next() >> 1);
-        if (!dup && rng.Next() % 4 == 0) stamps[w] |= uint64_t{1} << 63;
+        counters[w] = dup ? 1 + rng.Next() % 3
+                          : 1 + (rng.Next() >> (way_scan::kStampWayBits + 1));
+        if (!dup && rng.Next() % 4 == 0) counters[w] |= kTopCounterBit;
         // Distinct valid tags with an occasional empty way; none at all in
         // half the sets, so the stamp minimum decides.
         tags[w] = (iter & 2) != 0 && rng.Next() % 8 == 0 ? kEmptyTag : w;
       }
+      TagStamps(counters, n, stamps);
       FillGuards(stamps, n, 0, 0);
       FillGuards(tags, n, kEmptyTag, kEmptyTag);
-      const int want_min = MinStampWayScalar(stamps, n);
+      const int want_min = FirstMinCounterWay(counters, n);
       uint64_t mask = rng.Next() & full;
       if (iter % 4 == 0) mask = full;
       if (mask == 0) mask = uint64_t{1} << (rng.Next() % n);
-      const int want_victim = VictimWayMaskedScalar(tags, stamps, mask);
+      const int want_victim = FirstVictimWay(tags, counters, mask);
       ASSERT_GE(want_victim, 0);
+      const std::string at = "n=" + std::to_string(n) +
+                             " iter=" + std::to_string(iter) +
+                             " mask=" + std::to_string(mask);
+      ASSERT_EQ(MinStampWayScalar(stamps, n), want_min) << at;
+      ASSERT_EQ(VictimWayMaskedScalar(tags, stamps, mask), want_victim) << at;
       // Scalar level: the full-mask decomposition picks the bit walk's way.
       ASSERT_EQ(VictimWay<SimdLevel::kScalar>(tags, stamps, n, full),
-                VictimWayMaskedScalar(tags, stamps, full))
-          << "n=" << n << " iter=" << iter;
+                FirstVictimWay(tags, counters, full))
+          << at;
 #if CATDB_WAY_SCAN_X86
       if (avx512) {
-        ASSERT_EQ(MinStampWayAvx512(stamps, n), want_min)
-            << "n=" << n << " iter=" << iter;
-        ASSERT_EQ(VictimWayAvx512(tags, stamps, n, mask), want_victim)
-            << "n=" << n << " iter=" << iter << " mask=" << mask;
+        ASSERT_EQ(MinStampWayAvx512(stamps, n), want_min) << at;
+        ASSERT_EQ(VictimWayAvx512(tags, stamps, n, mask), want_victim) << at;
       }
 #endif
     }
@@ -360,6 +621,7 @@ void ExpectDispatchersMatchScalar() {
   using namespace way_scan;
   Rng rng(0xD15C);
   uint64_t tags[kMaxScanWays];
+  uint64_t counters[kMaxScanWays];
   uint64_t stamps[kMaxScanWays];
   for (uint32_t n = 1; n <= kMaxScanWays; ++n) {
     const uint64_t full = MaskForWays(n);
@@ -368,8 +630,11 @@ void ExpectDispatchersMatchScalar() {
       for (uint32_t w = 0; w < n; ++w) {
         const uint64_t r = rng.Next();
         tags[w] = (r & 8) != 0 ? kEmptyTag : r % 4;
-        stamps[w] = (iter & 1) != 0 ? r % 3 : rng.Next();
+        counters[w] = (iter & 1) != 0
+                          ? r % 3
+                          : rng.Next() >> way_scan::kStampWayBits;
       }
+      TagStamps(counters, n, stamps);
       int want_empty = -2;
       const int want = FindWayOrEmptyScalar(tags, n, needle, &want_empty);
       const uint64_t mask = (rng.Next() & full) | (uint64_t{1} << (n - 1));
@@ -382,9 +647,13 @@ void ExpectDispatchersMatchScalar() {
       if (want < 0) {
         ASSERT_EQ(got_empty, want_empty) << at;
       }
-      ASSERT_EQ(MinStampWay<L>(stamps, n), MinStampWayScalar(stamps, n)) << at;
+      ASSERT_EQ(MinStampWay<L>(stamps, n), FirstMinCounterWay(counters, n))
+          << at;
       ASSERT_EQ(VictimWay<L>(tags, stamps, n, mask),
-                VictimWayMaskedScalar(tags, stamps, mask))
+                FirstVictimWay(tags, counters, mask))
+          << at;
+      ASSERT_EQ(VictimWay<L>(tags, stamps, n, full),
+                FirstVictimWay(tags, counters, full))
           << at;
     }
   }

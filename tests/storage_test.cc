@@ -131,7 +131,7 @@ TEST(DictColumnTest, SimPointAccessChargesTwoAccesses) {
   DictColumn col = DictColumn::Encode({7, 8, 9, 7});
   col.AttachSim(&m);
   sim::ExecContext ctx(&m, 0);
-  EXPECT_EQ(col.GetValueSim(ctx, 2), 9);
+  EXPECT_EQ(col.dict().DecodeSim(ctx, col.codes().GetSim(ctx, 2)), 9);
   // Two dependent misses: code vector + dictionary.
   EXPECT_EQ(m.hierarchy().stats().llc.misses, 2u);
 }
